@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import xlogy
 
+from . import _kernel as _k
 from .densmat import (
     as_matrix,
     matrix_from_json,
@@ -73,7 +74,7 @@ class Povm:
         for idx, m in enumerate(els):
             if float(np.linalg.norm(m - m.conj().T)) > POVM_TOL:
                 raise InvalidInput(f"measurement element {idx} is not Hermitian")
-            w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+            w = np.linalg.eigvalsh(_k.hermitize(m))
             if float(w[0]) < -POVM_TOL:
                 raise InvalidInput(
                     f"measurement element {idx} has negative eigenvalue {w[0]:.3e}"
@@ -171,7 +172,7 @@ def _povm_elements_from_vectors(b: np.ndarray, d: int) -> list[np.ndarray]:
     t = np.zeros((d, d), dtype=complex)
     for bi in b:
         t += np.outer(bi, bi.conj())
-    w, v = np.linalg.eigh((t + t.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_k.hermitize(t))
     w = np.maximum(w, NORMALIZER_FLOOR)
     t_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     els = []
@@ -179,7 +180,7 @@ def _povm_elements_from_vectors(b: np.ndarray, d: int) -> list[np.ndarray]:
         c = t_inv_sqrt @ bi
         els.append(np.outer(c, c.conj()))
     deficit = np.eye(d) - sum(els)
-    deficit = (deficit + deficit.conj().T) / 2.0
+    deficit = _k.hermitize(deficit)
     if float(np.linalg.norm(deficit)) > 1e-12:
         els.append(deficit)
     return els
@@ -327,9 +328,6 @@ def fuchs_quantumness(e: Ensemble, cfg: Optional[OptimizerConfig] = None) -> flo
     return float(holevo(e) - accessible_information(e, cfg).value)
 
 
-PURITY_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class PureLimitReport:
     """Infinite-copy limits for a pure-state ensemble, from shared one-shot terms.
@@ -359,10 +357,9 @@ def pure_limit_identities(
 ) -> PureLimitReport:
     """Closed-form infinite-copy quantumness limits (pure members only)."""
     for idx, s in enumerate(e.states):
-        purity = float(np.trace(s.mat @ s.mat).real)
-        if purity < 1.0 - PURITY_TOL:
+        if not _k.is_pure(s.mat):
             raise PreconditionViolated(
-                f"member {idx} is mixed (purity {purity:.6f}); "
+                f"member {idx} is mixed; "
                 "the infinite-copy closed forms require pure members"
             )
     h_labels = shannon_entropy(e.probs)

@@ -1,8 +1,9 @@
-"""Dense complex matrix kernel: spectra, entropies, distances, tensor algebra.
+"""Validated density-matrix numerics: spectra, entropies, distances, tensor algebra.
 
 All information quantities are in bits (base-2 logarithms).  Matrices stay
 small (total dimension <= 64 everywhere in this package), so every spectral
-routine goes through a dense Hermitian eigendecomposition.
+routine goes through a dense Hermitian eigendecomposition.  The functions here
+check their inputs and then call the raw forms in ``_kernel``.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from . import _kernel as _k
+from ._kernel import EIG_FLOOR
+from .errors import InvalidInput, NumericalFailure, malformed
 
 #: Validity tolerance for constructor-level checks (Hermiticity, trace, PSD).
 VALID_TOL = 1e-10
-#: Eigenvalue floor used for logarithms and pseudo-inverse square roots.
-EIG_FLOOR = 1e-12
 
 MatrixLike = Union[np.ndarray, "DensityMatrix", Sequence[Sequence[complex]]]
 
@@ -49,10 +50,6 @@ def as_matrix(m: MatrixLike) -> np.ndarray:
     if a.ndim != 2:
         raise InvalidInput(f"expected a 2-D matrix, got array of shape {a.shape}")
     return a
-
-
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
 
 
 def is_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> bool:
@@ -88,7 +85,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > VALID_TOL:
             raise InvalidInput(f"trace must be 1, got {tr.real:.12g}{tr.imag:+.3e}j")
         try:
-            evals = np.linalg.eigvalsh(_hermitize(a))
+            evals = np.linalg.eigvalsh(_k.hermitize(a))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on <=64 dims
             raise NumericalFailure("eigenvalue computation failed") from exc
         if evals[0] < -VALID_TOL:
@@ -176,7 +173,7 @@ def eig_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> tuple[np.ndarray, np
     """
     a = _require_hermitian(m, tol)
     try:
-        evals, evecs = np.linalg.eigh(_hermitize(a))
+        evals, evecs = np.linalg.eigh(_k.hermitize(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("Hermitian eigendecomposition did not converge") from exc
     return evals, evecs
@@ -184,11 +181,7 @@ def eig_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> tuple[np.ndarray, np
 
 def von_neumann_entropy(rho: MatrixLike) -> float:
     """Entropy -Tr(rho log2 rho) in bits; eigenvalues below the floor are dropped."""
-    a = _require_density(rho)
-    w = np.linalg.eigvalsh(_hermitize(a))
-    w = w[w > EIG_FLOOR]
-    s = float(-(w * np.log2(w)).sum())
-    return max(s, 0.0)
+    return max(_k.entropy_bits(_require_density(rho)), 0.0)
 
 
 def relative_entropy(rho: MatrixLike, sigma: MatrixLike) -> float:
@@ -201,8 +194,8 @@ def relative_entropy(rho: MatrixLike, sigma: MatrixLike) -> float:
     s = _require_density(sigma)
     if r.shape != s.shape:
         raise InvalidInput(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
-    wr, vr = np.linalg.eigh(_hermitize(r))
-    ws, vs = np.linalg.eigh(_hermitize(s))
+    wr, vr = np.linalg.eigh(_k.hermitize(r))
+    ws, vs = np.linalg.eigh(_k.hermitize(s))
     wr = np.clip(wr, 0.0, None)
     # overlap[k, l] = |<r_k | s_l>|^2
     overlap = np.abs(vr.conj().T @ vs) ** 2
@@ -222,7 +215,7 @@ def relative_entropy(rho: MatrixLike, sigma: MatrixLike) -> float:
 def trace_norm(m: MatrixLike) -> float:
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
     a = _require_hermitian(m)
-    w = np.linalg.eigvalsh(_hermitize(a))
+    w = np.linalg.eigvalsh(_k.hermitize(a))
     return float(np.abs(w).sum())
 
 
@@ -238,10 +231,7 @@ def fidelity(rho: MatrixLike, sigma: MatrixLike, convention: str = "squared") ->
     s = _require_density(sigma)
     if r.shape != s.shape:
         raise InvalidInput(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
-    sqrt_r = matrix_function(r, "sqrt")
-    w = np.linalg.eigvalsh(_hermitize(sqrt_r @ s @ sqrt_r))
-    root = float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    root = min(max(root, 0.0), 1.0)
+    root = min(max(_k.fidelity_root(r, s), 0.0), 1.0)
     return root * root if convention == "squared" else root
 
 
@@ -271,13 +261,7 @@ def partial_trace(m: MatrixLike, profile, keep) -> np.ndarray:
         raise InvalidInput("keep set must not be empty")
     if not keep_set.issubset(range(n)):
         raise InvalidInput(f"keep set {sorted(keep_set)} out of range for {n} sites")
-    traced = [i for i in range(n) if i not in keep_set]
-    tensorized = a.reshape(dims + dims)
-    for site in sorted(traced, reverse=True):
-        k = tensorized.ndim // 2
-        tensorized = np.trace(tensorized, axis1=site, axis2=site + k)
-    d_keep = int(np.prod([dims[i] for i in sorted(keep_set)]))
-    return tensorized.reshape(d_keep, d_keep)
+    return _k.partial_trace(a, dims, keep_set)
 
 
 def tensor(m1: MatrixLike, m2: MatrixLike) -> np.ndarray:
@@ -294,10 +278,7 @@ def embed_at_site(op: MatrixLike, profile, site: int) -> np.ndarray:
     a = as_matrix(op)
     if a.shape != (dims[site], dims[site]):
         raise InvalidInput(f"operator shape {a.shape} does not match site dim {dims[site]}")
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        out = np.kron(out, a if i == site else np.eye(d, dtype=complex))
-    return out
+    return _k.embed_at_site(a, dims, site)
 
 
 def matrix_function(m: MatrixLike, fn: str) -> np.ndarray:
@@ -308,22 +289,12 @@ def matrix_function(m: MatrixLike, fn: str) -> np.ndarray:
     below the floor map to 0).
     """
     a = _require_hermitian(m)
-    w, v = np.linalg.eigh(_hermitize(a))
-    if fn == "sqrt":
-        if w[0] < -VALID_TOL:
-            raise InvalidInput(f"sqrt needs a PSD matrix, min eigenvalue {w[0]:.3e}")
-        fw = np.sqrt(np.clip(w, 0.0, None))
-    elif fn == "log2":
-        fw = np.log2(np.maximum(w, EIG_FLOOR))
-    elif fn == "inv_sqrt_on_support":
-        if w[0] < -VALID_TOL:
-            raise InvalidInput(
-                f"inv_sqrt_on_support needs a PSD matrix, min eigenvalue {w[0]:.3e}"
-            )
-        fw = np.where(w > EIG_FLOOR, 1.0 / np.sqrt(np.maximum(w, EIG_FLOOR)), 0.0)
-    else:
+    if fn not in ("log2", "sqrt", "inv_sqrt_on_support"):
         raise InvalidInput(f"unknown matrix function tag {fn!r}")
-    return (v * fw) @ v.conj().T
+    w, v = np.linalg.eigh(_k.hermitize(a))
+    if fn != "log2" and w[0] < -VALID_TOL:
+        raise InvalidInput(f"{fn} needs a PSD matrix, min eigenvalue {w[0]:.3e}")
+    return _k.matrix_function(a, fn, (w, v))
 
 
 def matrix_to_json(m: MatrixLike) -> dict:
@@ -344,12 +315,10 @@ def matrix_from_json(obj) -> np.ndarray:
     missing = {"rows", "cols", "re", "im"} - set(obj)
     if missing:
         raise InvalidInput(f"matrix JSON missing keys {sorted(missing)}")
-    try:
+    with malformed("matrix"):
         rows, cols = int(obj["rows"]), int(obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InvalidInput(f"matrix dimensions must be positive, got {rows}x{cols}")
     if re.shape != (rows, cols) or im.shape != (rows, cols):

@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from . import _kernel as _k
 from .densmat import (
     DensityMatrix,
     DimensionProfile,
@@ -16,7 +17,7 @@ from .densmat import (
     matrix_to_json,
     von_neumann_entropy,
 )
-from .errors import InvalidInput, NumericalFailure, PreconditionViolated
+from .errors import InvalidInput, NumericalFailure, PreconditionViolated, malformed
 
 if TYPE_CHECKING:  # pragma: no cover
     from .extopt import ExtensionSet
@@ -105,17 +106,18 @@ class Ensemble:
             raise InvalidInput("every ensemble member must be an object")
         if any(have_p) and not all(have_p):
             raise InvalidInput("either all members carry 'p' or none do")
-        pairs = []
-        for m in members:
-            if "state" not in m:
-                raise InvalidInput("ensemble member missing 'state'")
-            p = float(m["p"]) if all(have_p) else 1.0 / len(members)
-            pairs.append((p, DensityMatrix(matrix_from_json(m["state"]))))
-        ens = cls(pairs)
-        if "dim" in obj and int(obj["dim"]) != ens.dim:
-            raise InvalidInput(
-                f"declared dim {obj['dim']} does not match member dimension {ens.dim}"
-            )
+        with malformed("ensemble"):
+            pairs = []
+            for m in members:
+                if "state" not in m:
+                    raise InvalidInput("ensemble member missing 'state'")
+                p = float(m["p"]) if all(have_p) else 1.0 / len(members)
+                pairs.append((p, DensityMatrix(matrix_from_json(m["state"]))))
+            ens = cls(pairs)
+            if "dim" in obj and int(obj["dim"]) != ens.dim:
+                raise InvalidInput(
+                    f"declared dim {obj['dim']} does not match member dimension {ens.dim}"
+                )
         return ens
 
     def to_json(self) -> dict:
@@ -195,7 +197,7 @@ def _simultaneous_eigenbasis(states: Sequence[np.ndarray], tol: float = 1e-8) ->
     for _ in range(8):
         coeffs = rng.uniform(0.05, 0.25, size=len(states))
         probe = avg + sum(c * s for c, s in zip(coeffs, states))
-        _, basis = np.linalg.eigh((probe + probe.conj().T) / 2)
+        _, basis = np.linalg.eigh(_k.hermitize(probe))
         ok = True
         for s in states:
             rotated = basis.conj().T @ s @ basis
@@ -227,19 +229,14 @@ def classical_broadcast(e: Ensemble, n: int) -> "ExtensionSet":
         )
     d = e.dim
     basis = _simultaneous_eigenbasis([s.mat for s in e.states])
-    copies = np.empty((d, d**n), dtype=complex)
-    for k in range(d):
-        vec = np.array([1.0 + 0j])
-        for _ in range(n):
-            vec = np.kron(vec, basis[:, k])
-        copies[k] = vec
+    copies = np.array([_k.kron_power(basis[:, k], n) for k in range(d)])
     extensions = []
     for s in e.states:
         weights = np.real(np.einsum("ik,ij,jk->k", basis.conj(), s.mat, basis))
         weights = np.clip(weights, 0.0, None)
         weights = weights / weights.sum()
         ext = (copies.T * weights) @ copies.conj()
-        extensions.append(DensityMatrix((ext + ext.conj().T) / 2))
+        extensions.append(DensityMatrix(_k.hermitize(ext)))
     return ExtensionSet(
         n=n,
         local_dim=d,

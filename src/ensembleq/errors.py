@@ -4,6 +4,8 @@ Every error raised by the library is one of these four kinds, so callers
 (including the CLI) can map failures to exit codes without string matching.
 """
 
+from contextlib import contextmanager
+
 
 class EnsembleQError(Exception):
     """Base class for all library errors."""
@@ -23,3 +25,14 @@ class NumericalFailure(EnsembleQError, RuntimeError):
 
 class ResourceLimit(EnsembleQError):
     """Requested computation exceeds a hard dimension/size cap."""
+
+
+@contextmanager
+def malformed(what: str):
+    """Re-raise a bad conversion inside a JSON decoder as InvalidInput."""
+    try:
+        yield
+    except EnsembleQError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed {what} JSON: {exc}") from exc

@@ -10,25 +10,20 @@ the affine marginal constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .densmat import (
-    EIG_FLOOR,
-    DensityMatrix,
-    as_matrix,
-    embed_at_site,
-    matrix_function,
-    partial_trace,
-    von_neumann_entropy,
-)
+from . import _kernel as _k
+from ._kernel import PURE_TOL  # noqa: F401  (re-exported solver tolerance)
+from .densmat import DensityMatrix, as_matrix
 from .ensemble import Ensemble, classical_broadcast, holevo, is_broadcastable
 from .errors import (
     InvalidInput,
     NumericalFailure,
     PreconditionViolated,
     ResourceLimit,
+    malformed,
 )
 
 #: Hard cap on the total extension dimension d**n.
@@ -43,12 +38,14 @@ PG_TOL = 1e-6
 #: small probe stays near the feasible set even when floored logarithms make
 #: raw gradients huge; the wide probes sharpen the certificate near optima.
 PG_PROBE_LADDER = (1e-2, 1.0, 10.0)
-PG_PROBE = PG_PROBE_LADDER[0]
 #: Cap on the Frobenius distance of any line-search proposal from the iterate.
 TRIAL_RADIUS = 2.0
-#: Purity threshold: a state is treated as pure when its top eigenvalue
-#: is at least 1 - PURE_TOL.
-PURE_TOL = 1e-8
+#: First (and largest) line-search step.
+STEP_INIT = 0.5
+#: Backtracking factor of the line search.
+STEP_SHRINK = 0.5
+#: An iteration that lowers the objective by less than this counts as stalled.
+STALL_TOL = 1e-9
 #: Iterate eigenvalues below this are snapped to exact zero after projection.
 #: Hovering just above the PSD boundary leaves a ~1/lambda entropy curvature
 #: that freezes the line search; on the exact boundary face the singular terms
@@ -82,9 +79,6 @@ class OptimizerConfig:
     """Knobs for the projected-gradient optimizers."""
 
     max_iters: int = 2000
-    step_init: float = 0.5
-    step_shrink: float = 0.5
-    convergence_tol: float = 1e-9
     dykstra_iters: int = 500
     restarts: int = 8
     seed: int = 42
@@ -92,10 +86,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.dykstra_iters < 1 or self.restarts < 1:
             raise InvalidInput("iteration and restart counts must be positive")
-        if not (0.0 < self.step_shrink < 1.0):
-            raise InvalidInput("step_shrink must lie in (0, 1)")
-        if self.step_init <= 0.0 or self.convergence_tol <= 0.0:
-            raise InvalidInput("step_init and convergence_tol must be positive")
 
 
 class ExtensionSet:
@@ -144,13 +134,11 @@ class ExtensionSet:
 
     def feasibility_residual(self) -> float:
         """Largest Frobenius deviation of any single-site marginal from its target."""
-        dims = (self.local_dim,) * self.n
-        worst = 0.0
-        for ext, tgt in zip(self.extensions, self.target_marginals):
-            for site in range(self.n):
-                marg = partial_trace(ext.mat, dims, site)
-                worst = max(worst, float(np.linalg.norm(marg - tgt.mat)))
-        return worst
+        return _marginal_residual(
+            [e.mat for e in self.extensions],
+            [t.mat for t in self.target_marginals],
+            self.local_dim, self.n,
+        )
 
 
 @dataclass(frozen=True)
@@ -192,30 +180,37 @@ class QuantumnessReport:
     def from_json(cls, obj) -> "QuantumnessReport":
         if not isinstance(obj, dict):
             raise InvalidInput("report JSON must be an object")
-        try:
-            return cls(
-                value=float(obj["value"]),
-                objective_at_optimum=float(obj["objective"]),
-                baseline=float(obj["baseline"]),
-                feasibility_residual=float(obj["feasibility_residual"]),
-                iterations=int(obj["iterations"]),
-                converged=bool(obj["converged"]),
-                restart_values=tuple(float(v) for v in obj["restarts"]),
-            )
-        except KeyError as exc:
-            raise InvalidInput(f"report JSON missing key {exc.args[0]!r}") from exc
+        with malformed("report"):
+            try:
+                return cls(
+                    value=float(obj["value"]),
+                    objective_at_optimum=float(obj["objective"]),
+                    baseline=float(obj["baseline"]),
+                    feasibility_residual=float(obj["feasibility_residual"]),
+                    iterations=int(obj["iterations"]),
+                    converged=bool(obj["converged"]),
+                    restart_values=tuple(float(v) for v in obj["restarts"]),
+                )
+            except KeyError as exc:
+                raise InvalidInput(f"report JSON missing key {exc.args[0]!r}") from exc
 
 
 # ---------------------------------------------------------------------------
 # feasible-set projections
 # ---------------------------------------------------------------------------
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
-
-
 def _marginal(x: np.ndarray, d: int, n: int, site: int) -> np.ndarray:
-    return partial_trace(x, (d,) * n, site)
+    return _k.partial_trace(x, (d,) * n, (site,))
+
+
+def _marginal_residual(mats: Sequence[np.ndarray], targets: Sequence[np.ndarray],
+                       d: int, n: int) -> float:
+    """Largest Frobenius deviation of any single-site marginal from its target."""
+    return max(
+        float(np.linalg.norm(_marginal(m, d, n, site) - t))
+        for m, t in zip(mats, targets)
+        for site in range(n)
+    )
 
 
 def _project_affine(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -231,15 +226,14 @@ def _project_affine(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.nda
     for site in range(n):
         r = _marginal(x, d, n, site) - target
         r_traceless = r - (np.trace(r) / d) * np.eye(d, dtype=complex)
-        y = y - embed_at_site(r_traceless, dims, site) / d ** (n - 1)
+        y = y - _k.embed_at_site(r_traceless, dims, site) / d ** (n - 1)
     return y
 
 
 def _project_psd(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitize(x))
-    if w[0] >= 0.0:
-        return _hermitize(x)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    h = _k.hermitize(x)
+    w, v = np.linalg.eigh(h)
+    return h if w[0] >= 0.0 else _k.matrix_function(h, "psd_clip", (w, v))
 
 
 def _snap_small(m: np.ndarray) -> np.ndarray:
@@ -248,7 +242,7 @@ def _snap_small(m: np.ndarray) -> np.ndarray:
     The marginal perturbation this introduces is bounded by the snapped mass
     (a few 1e-9), far inside FEAS_TOL.
     """
-    w, v = np.linalg.eigh(_hermitize(m))
+    w, v = np.linalg.eigh(_k.hermitize(m))
     if w[0] >= SNAP_TOL:
         return m
     w = np.where(w < SNAP_TOL, 0.0, w)
@@ -257,17 +251,6 @@ def _snap_small(m: np.ndarray) -> np.ndarray:
     if tr <= 0.0:
         return m
     return out * (float(np.trace(m).real) / tr)
-
-
-def _matrix_log_raw(m: np.ndarray) -> np.ndarray:
-    """Natural matrix logarithm of a PSD matrix (eigenvalues clipped at tiny)."""
-    w, v = np.linalg.eigh(_hermitize(m))
-    return (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
-
-
-def _matrix_exp(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitize(m))
-    return (v * np.exp(w)) @ v.conj().T
 
 
 def _scaling_iproject(log_sigma: np.ndarray, target: np.ndarray,
@@ -286,16 +269,16 @@ def _scaling_iproject(log_sigma: np.ndarray, target: np.ndarray,
     dims = (d,) * n
     mult = np.zeros_like(log_sigma) if mult_init is None else mult_init
     L = log_sigma + mult
-    E = _matrix_exp(L)
+    E = _k.matrix_function(L, "exp")
     for _ in range(sweeps):
         worst = 0.0
         for k in range(n):
             mk = _marginal(E, d, n, k)
             worst = max(worst, float(np.linalg.norm(mk - target)))
-            corr = embed_at_site(log_target - _matrix_log_raw(mk), dims, k)
+            corr = _k.embed_at_site(log_target - _k.matrix_function(mk, "log"), dims, k)
             mult = mult + corr
             L = L + corr
-            E = _matrix_exp(L)
+            E = _k.matrix_function(L, "exp")
         if worst < tol:
             break
     return E, mult
@@ -320,7 +303,7 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     watches the certificate, not the objective: refinement continues while the
     certificate keeps contracting, and hands over once it passes or stalls.
     """
-    log_targets = [_matrix_log_raw(t) for t in targets]
+    log_targets = [_k.matrix_function(t, "log") for t in targets]
     # a pure target admits exactly one feasible extension; its block update
     # is that point itself, and exponential-form scaling cannot represent it
     pinned_points = [_pure_target_point(t, n) for t in targets]
@@ -335,7 +318,7 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     since_check = 0
     for _ in range(rounds):
         sigma = sum(p * m for p, m in zip(probs, E))
-        log_sigma = _matrix_log_raw(sigma)
+        log_sigma = _k.matrix_function(sigma, "log")
         new = []
         for i, (t, lt) in enumerate(zip(targets, log_targets)):
             if pinned_points[i] is not None:
@@ -368,12 +351,6 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     return E
 
 
-def _max_marginal_dev(x: np.ndarray, target: np.ndarray, d: int, n: int) -> float:
-    return max(
-        float(np.linalg.norm(_marginal(x, d, n, site) - target)) for site in range(n)
-    )
-
-
 def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
     """The unique feasible extension of a pure target, or None if mixed.
 
@@ -382,13 +359,10 @@ def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
     would creep toward that lone extreme point sublinearly, so it is returned
     directly.
     """
-    w, v = np.linalg.eigh(_hermitize(target))
-    if float(w[-1]) < 1.0 - PURE_TOL:
+    psi = _k.pure_vector(target)
+    if psi is None:
         return None
-    psi = v[:, -1]
-    vec = psi
-    for _ in range(n - 1):
-        vec = np.kron(vec, psi)
+    vec = _k.kron_power(psi, n)
     return np.outer(vec, vec.conj())
 
 
@@ -404,7 +378,7 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     point = _pure_target_point(target, n)
     if point is not None:
         return point
-    y = _hermitize(x)
+    y = _k.hermitize(x)
     p = np.zeros_like(y)
     q = np.zeros_like(y)
     for _ in range(cfg.dykstra_iters):
@@ -413,9 +387,9 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
         b = a + q if face is None else face @ (a + q) @ face
         y = _project_psd(b)
         q = a + q - y
-        if _max_marginal_dev(y, target, d, n) <= stop_tol:
+        if _marginal_residual([y], [target], d, n) <= stop_tol:
             return y
-    resid = _max_marginal_dev(y, target, d, n)
+    resid = _marginal_residual([y], [target], d, n)
     if resid > FEAS_TOL:
         raise NumericalFailure(
             f"Dykstra projection stalled at marginal residual {resid:.3e} "
@@ -446,18 +420,12 @@ def project_feasible(x, target: DensityMatrix, n: int,
 # objectives and gradients
 # ---------------------------------------------------------------------------
 
-def _entropy_raw(a: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(_hermitize(a))
-    w = w[w > EIG_FLOOR]
-    return float(-(w * np.log2(w)).sum())
-
-
 def chi_objective(extensions: Sequence[np.ndarray], probs: Sequence[float]) -> float:
     """Holevo quantity of the extension ensemble (raw matrices, no validation)."""
     probs = np.asarray(probs, dtype=float)
     avg = sum(p * as_matrix(e) for p, e in zip(probs, extensions))
-    return _entropy_raw(avg) - sum(
-        p * _entropy_raw(as_matrix(e)) for p, e in zip(probs, extensions) if p > 0.0
+    return _k.entropy_bits(avg) - sum(
+        p * _k.entropy_bits(as_matrix(e)) for p, e in zip(probs, extensions) if p > 0.0
     )
 
 
@@ -470,21 +438,15 @@ def chi_gradient(extensions: Sequence[np.ndarray], probs: Sequence[float]) -> li
     probs = np.asarray(probs, dtype=float)
     mats = [as_matrix(e) for e in extensions]
     avg = sum(p * m for p, m in zip(probs, mats))
-    log_avg = matrix_function(avg, "log2")
+    log_avg = _k.matrix_function(avg, "log2")
     return [
-        p * (matrix_function(m, "log2") - log_avg) if p > 0.0 else np.zeros_like(m)
+        p * (_k.matrix_function(m, "log2") - log_avg) if p > 0.0 else np.zeros_like(m)
         for p, m in zip(probs, mats)
     ]
 
 
-def _fidelity_root_raw(a: np.ndarray, b: np.ndarray) -> float:
-    sqrt_a = matrix_function(a, "sqrt")
-    w = np.linalg.eigvalsh(_hermitize(sqrt_a @ b @ sqrt_a))
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
-
-
 def _fidelity_mono_objective(a: np.ndarray, b: np.ndarray, convention: str) -> float:
-    root = _fidelity_root_raw(a, b)
+    root = _k.fidelity_root(a, b)
     return 1.0 - (root * root if convention == "squared" else root)
 
 
@@ -493,13 +455,26 @@ def _fidelity_mono_gradient(a: np.ndarray, b: np.ndarray,
     """Gradient of 1 - F(a, b) w.r.t. (a, b)."""
     grads = []
     for x, other in ((a, b), (b, a)):
-        sqrt_o = matrix_function(other, "sqrt")
-        core = matrix_function(sqrt_o @ x @ sqrt_o, "inv_sqrt_on_support")
-        grads.append(0.5 * _hermitize(sqrt_o @ core @ sqrt_o))
+        sqrt_o = _k.matrix_function(other, "sqrt")
+        core = _k.matrix_function(sqrt_o @ x @ sqrt_o, "inv_sqrt_on_support")
+        grads.append(0.5 * _k.hermitize(sqrt_o @ core @ sqrt_o))
     if convention == "squared":
-        root = _fidelity_root_raw(a, b)
+        root = _k.fidelity_root(a, b)
         grads = [2.0 * root * g for g in grads]
     return [-g for g in grads]
+
+
+class _Objective(NamedTuple):
+    """A monotone minimized over joint extension sets.
+
+    ``probs`` marks the entropic (Holevo) objective.  It switches on the
+    entropic warm start and the boundary-face check of the descent, which
+    rely on that objective's matrix-log geometry.
+    """
+
+    value: Callable[[list[np.ndarray]], float]
+    gradient: Callable[[list[np.ndarray]], list[np.ndarray]]
+    probs: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -508,23 +483,31 @@ def _fidelity_mono_gradient(a: np.ndarray, b: np.ndarray,
 
 def _classical_copy(rho: np.ndarray, n: int) -> np.ndarray:
     """sum_k lambda_k |k...k><k...k| in the state's own eigenbasis (always feasible)."""
-    w, v = np.linalg.eigh(_hermitize(rho))
+    w, v = np.linalg.eigh(_k.hermitize(rho))
     d = rho.shape[0]
     big = d**n
     out = np.zeros((big, big), dtype=complex)
     for k in range(d):
         if w[k] <= 0.0:
             continue
-        vec = np.array([1.0 + 0j])
-        for _ in range(n):
-            vec = np.kron(vec, v[:, k])
+        vec = _k.kron_power(v[:, k], n)
         out += w[k] * np.outer(vec, vec.conj())
     return out / np.trace(out).real
 
 
+def _interior_start(target: np.ndarray, n: int) -> np.ndarray:
+    """Classical-copy start nudged into the interior of the feasible set.
+
+    Blending with the product extension keeps every marginal exact while
+    lifting the copy state off the PSD boundary, where floored-logarithm
+    gradients are unreliable.
+    """
+    return 0.8 * _classical_copy(target, n) + 0.2 * _k.kron_power(target, n)
+
+
 def _support_projector(x: np.ndarray) -> Optional[np.ndarray]:
     """Projector onto the support of a (snapped) PSD matrix; None if full rank."""
-    w, v = np.linalg.eigh(_hermitize(x))
+    w, v = np.linalg.eigh(_k.hermitize(x))
     keep = w > 0.5 * SNAP_TOL
     if bool(keep.all()):
         return None
@@ -570,36 +553,33 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
 
 
 def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-             f: Callable[[list[np.ndarray]], float],
-             grad: Callable[[list[np.ndarray]], list[np.ndarray]],
-             d: int, n: int, cfg: OptimizerConfig,
-             probs: Optional[np.ndarray] = None):
+             obj: _Objective, d: int, n: int, cfg: OptimizerConfig):
     """Projected gradient descent with Armijo backtracking.
 
-    Returns ``(x, fx, iterations, converged, pg_norm)`` where ``converged``
-    certifies a projected-gradient-mapping norm at most PG_TOL.  For entropic
-    objectives (``probs`` given), an interior escape probe must additionally
-    confirm any boundary-face point before it is certified.
+    Returns ``(x, fx, iterations, converged)`` where ``converged`` certifies a
+    projected-gradient-mapping norm at most PG_TOL.  For the entropic
+    objective, an interior escape probe must additionally confirm any
+    boundary-face point before it is certified.
     """
+    f, grad, probs = obj
 
     def project_all(xs):
         return [_snap_small(_dykstra(x, t, d, n, cfg)) for x, t in zip(xs, targets)]
 
     # members with a pure target sit on a singleton feasible set: they carry
     # no descent directions and are exempt from kernel-alignment certification
-    pinned = [_pure_target_point(t, n) is not None for t in targets]
+    pinned = [_k.is_pure(t) for t in targets]
     x = [_snap_small(np.array(e, dtype=complex)) for e in x0]
     fx = f(x)
-    step = cfg.step_init
+    step = STEP_INIT
     stall = 0
     pg_norm = np.inf
-    iters = 0
     for iters in range(1, cfg.max_iters + 1):
         g = grad(x)
         pg_norm = _pg_mapping_norm(x, g, targets, d, n, cfg)
         if pg_norm <= PG_TOL:
             on_face = any(
-                float(np.linalg.eigvalsh(_hermitize(xi))[0]) < SNAP_TOL for xi in x
+                float(np.linalg.eigvalsh(_k.hermitize(xi))[0]) < SNAP_TOL for xi in x
             )
             certify = True
             if on_face and probs is not None:
@@ -618,13 +598,13 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                     ]
                     fe = f(esc)
                     if fe < fx - 1e-7:
-                        x, fx, step = esc, fe, cfg.step_init
+                        x, fx, step = esc, fe, STEP_INIT
                         stall = 0
                         continue
             if certify:
-                return x, fx, iters, True, pg_norm
+                return x, fx, iters, True
         gnorm = float(np.sqrt(sum(np.linalg.norm(gi) ** 2 for gi in g)))
-        s = min(cfg.step_init, step / cfg.step_shrink, TRIAL_RADIUS / gnorm)
+        s = min(STEP_INIT, step / STEP_SHRINK, TRIAL_RADIUS / gnorm)
         start_s = s
         accepted = False
         while s >= 1e-13:
@@ -632,7 +612,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                 trial = project_all([xi - s * gi for xi, gi in zip(x, g)])
             except NumericalFailure:
                 # trial too far from the feasible set to project; back off
-                s *= cfg.step_shrink
+                s *= STEP_SHRINK
                 continue
             ft = f(trial)
             decrease = sum(
@@ -642,7 +622,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
             if ft <= fx + ARMIJO_C * decrease:
                 accepted = True
                 break
-            s *= cfg.step_shrink
+            s *= STEP_SHRINK
         if accepted:
             delta = fx - ft
             x, fx, step = trial, ft, s
@@ -650,13 +630,13 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
             delta = 0.0
             # a fresh sweep from the largest admissible step found no decrease:
             # the iterate is stuck (up to projection noise), so stop early
-            if start_s >= min(cfg.step_init, TRIAL_RADIUS / gnorm) - 1e-15:
+            if start_s >= min(STEP_INIT, TRIAL_RADIUS / gnorm) - 1e-15:
                 break
-            step = cfg.step_init
-        stall = stall + 1 if delta < cfg.convergence_tol else 0
+            step = STEP_INIT
+        stall = stall + 1 if delta < STALL_TOL else 0
         if stall >= 10:
             break
-    return x, fx, iters, pg_norm <= PG_TOL, pg_norm
+    return x, fx, iters, pg_norm <= PG_TOL
 
 
 def _kernels_aligned(x: Sequence[np.ndarray], probs: np.ndarray,
@@ -684,58 +664,14 @@ def _kernels_aligned(x: Sequence[np.ndarray], probs: np.ndarray,
     return True
 
 
-def _residual_of(mats: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                 d: int, n: int) -> float:
-    return max(_max_marginal_dev(m, t, d, n) for m, t in zip(mats, targets))
-
-
-def _is_pure(rho: DensityMatrix) -> bool:
-    w = np.linalg.eigvalsh(_hermitize(rho.mat))
-    return bool(w[-1] >= 1.0 - PURE_TOL)
-
-
-def _check_extension_dim(d: int, n: int) -> int:
-    if n < 2:
-        raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
-    big = d**n
-    if big > DIM_CAP:
-        raise ResourceLimit(
-            f"extension dimension {d}**{n} = {big} exceeds the cap {DIM_CAP}"
-        )
-    return big
-
-
-def _product_power(rho: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, rho)
-    return out
-
-
-def _pure_product_extensions(states: Sequence[DensityMatrix], n: int) -> list[np.ndarray]:
-    # a pure marginal forces the product extension, so the feasible set is a point
-    return [_product_power(s.mat, n) for s in states]
-
-
-def _interior_start(target: np.ndarray, n: int) -> np.ndarray:
-    """Classical-copy start nudged into the interior of the feasible set.
-
-    Blending with the product extension keeps every marginal exact while
-    lifting the copy state off the PSD boundary, where floored-logarithm
-    gradients are unreliable.
-    """
-    return 0.8 * _classical_copy(target, n) + 0.2 * _product_power(target, n)
-
-
 def _run_restarts(targets: list[np.ndarray], base_starts: list[list[np.ndarray]],
-                  f, grad, d: int, n: int, cfg: OptimizerConfig,
-                  probs: Optional[np.ndarray] = None,
-                  floor_bound: Optional[float] = None):
+                  obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
+                  floor_bound: float):
     """Deterministic multistart: seeded feasible perturbations of the first start.
 
     ``floor_bound`` is a proven lower bound on the objective over the feasible
-    set (e.g. the base value under a monotone map).  Any iterate within SAT_TOL
-    of it is globally optimal regardless of gradient certificates, which is the
+    set (the base value under a monotone map).  Any iterate within SAT_TOL of
+    it is globally optimal regardless of gradient certificates, which is the
     only reliable test at singular points where floored logarithms make the
     projected-gradient probe meaningless.
     """
@@ -766,45 +702,81 @@ def _run_restarts(targets: list[np.ndarray], base_starts: list[list[np.ndarray]]
     def saturated(val: float) -> bool:
         # values more than 1e-7 below the proven floor signal broken numerics
         # and must not be certified (they fail the report's sanity checks)
-        return (
-            floor_bound is not None
-            and floor_bound - 1e-7 <= val <= floor_bound + SAT_TOL
-        )
+        return floor_bound - 1e-7 <= val <= floor_bound + SAT_TOL
 
-    if probs is not None:
-        def deep_check(es):
-            snapped = [_snap_small(e) for e in es]
-            return _pg_mapping_norm(snapped, grad(snapped), targets, d, n, cfg)
+    def deep_check(es):
+        snapped = [_snap_small(e) for e in es]
+        return _pg_mapping_norm(snapped, obj.gradient(snapped), targets, d, n, cfg)
 
     best = None
     restart_values = []
     for xs in start_iter():
         snapped = [_snap_small(np.array(e, dtype=complex)) for e in xs]
-        f0 = f(snapped)
+        f0 = obj.value(snapped)
         if saturated(f0):
             f0 = max(f0, floor_bound)  # dips below a proven floor are rounding
             restart_values.append(f0)
-            return (snapped, f0, 0, True, 0.0), restart_values
-        if probs is not None:
+            return (snapped, f0, 0, True), restart_values
+        if obj.probs is not None:
             xs = _entropic_refine(
-                snapped, targets, probs, d, n,
+                snapped, targets, obj.probs, d, n,
                 rounds=REFINE_ROUNDS, deep_check=deep_check,
             )
-        x, fx, iters, conv, pg = _descend(xs, targets, f, grad, d, n, cfg, probs)
+        x, fx, iters, conv = _descend(xs, targets, obj, d, n, cfg)
         if saturated(fx):
             fx = max(fx, floor_bound)
             conv = True
         restart_values.append(fx)
         if best is None or fx < best[1] - 1e-15:
-            best = (x, fx, iters, conv, pg)
+            best = (x, fx, iters, conv)
         if conv:
             # the objective is convex over the feasible set, so a certified
             # stationary point is the global optimum: later restarts are moot
             # (an earlier lower-but-uncertified iterate inherits the flag, as
             # it sits between the certified point and the optimum)
-            bx, bf, bi, _, bpg = best
-            return (bx, bf, bi, True, bpg), restart_values
+            return best[:3] + (True,), restart_values
     return best, restart_values
+
+
+def _optimize_extensions(e: Ensemble, n: int, cfg: OptimizerConfig,
+                         obj: _Objective, baseline: float) -> QuantumnessReport:
+    """Minimize ``obj`` over joint n-site extensions of ``e``'s members.
+
+    ``baseline`` is the objective on the members themselves, a proven lower
+    bound over the feasible set; the report's value is the gap above it.
+    Pure members pin the feasible set to their product extensions; a
+    commuting family starts from its exact classical broadcast.
+    """
+    d = e.dim
+    if n < 2:
+        raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
+    if d**n > DIM_CAP:
+        raise ResourceLimit(
+            f"extension dimension {d}**{n} = {d**n} exceeds the cap {DIM_CAP}"
+        )
+    targets = [s.mat for s in e.states]
+    if all(_k.is_pure(t) for t in targets):
+        # a pure marginal forces the product extension: the feasible set is a point
+        x = [_k.kron_power(t, n) for t in targets]
+        fx, iters, conv = obj.value(x), 0, True
+        restart_values = [fx]
+    else:
+        base_starts = []
+        if is_broadcastable(e):
+            base_starts.append([ext.mat for ext in classical_broadcast(e, n).extensions])
+        base_starts.append([_interior_start(t, n) for t in targets])
+        (x, fx, iters, conv), restart_values = _run_restarts(
+            targets, base_starts, obj, d, n, cfg, floor_bound=baseline
+        )
+    return QuantumnessReport(
+        value=max(fx - baseline, 0.0),
+        objective_at_optimum=fx,
+        baseline=baseline,
+        feasibility_residual=_marginal_residual(x, targets, d, n),
+        iterations=iters,
+        converged=conv,
+        restart_values=tuple(restart_values),
+    )
 
 
 def chi_q(e: Ensemble, n: int, cfg: Optional[OptimizerConfig] = None) -> QuantumnessReport:
@@ -815,57 +787,11 @@ def chi_q(e: Ensemble, n: int, cfg: Optional[OptimizerConfig] = None) -> Quantum
     tolerance) characterizes commuting ensembles; the gap is strictly positive
     otherwise.
     """
-    cfg = cfg or OptimizerConfig()
-    d = e.dim
-    _check_extension_dim(d, n)
-    baseline = holevo(e)
     probs = e.probs
-
-    if all(_is_pure(s) for s in e.states):
-        exts = _pure_product_extensions(e.states, n)
-        objective = chi_objective(exts, probs)
-        closed = _entropy_raw(
-            sum(p * m for p, m in zip(probs, exts))
-        ) - von_neumann_entropy(e.average_state())
-        if abs((objective - baseline) - closed) > 5e-3:
-            raise NumericalFailure(
-                "pure-state shortcut and numeric objective disagree beyond 5e-3"
-            )
-        return QuantumnessReport(
-            value=objective - baseline,
-            objective_at_optimum=objective,
-            baseline=baseline,
-            feasibility_residual=_residual_of(exts, [s.mat for s in e.states], d, n),
-            iterations=0,
-            converged=True,
-            restart_values=(objective,),
-        )
-
-    targets = [s.mat for s in e.states]
-    base_starts = []
-    if is_broadcastable(e):
-        bset = classical_broadcast(e, n)
-        base_starts.append([ext.mat for ext in bset.extensions])
-    base_starts.append([_interior_start(t, n) for t in targets])
-
-    def f(xs):
-        return chi_objective(xs, probs)
-
-    def g(xs):
-        return chi_gradient(xs, probs)
-
-    (x, fx, iters, conv, _pg), restart_values = _run_restarts(
-        targets, base_starts, f, g, d, n, cfg, probs, floor_bound=baseline
+    obj = _Objective(
+        lambda xs: chi_objective(xs, probs), lambda xs: chi_gradient(xs, probs), probs
     )
-    return QuantumnessReport(
-        value=max(fx - baseline, 0.0),
-        objective_at_optimum=fx,
-        baseline=baseline,
-        feasibility_residual=_residual_of(x, targets, d, n),
-        iterations=iters,
-        converged=conv,
-        restart_values=tuple(restart_values),
-    )
+    return _optimize_extensions(e, n, cfg or OptimizerConfig(), obj, holevo(e))
 
 
 def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
@@ -878,64 +804,26 @@ def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     """
     if convention not in ("squared", "root"):
         raise InvalidInput(f"unknown fidelity convention {convention!r}")
-    cfg = cfg or OptimizerConfig()
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     if not isinstance(sigma, DensityMatrix):
         sigma = DensityMatrix(sigma)
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    d = rho.dim
-    _check_extension_dim(d, n)
+    obj = _Objective(
+        lambda xs: _fidelity_mono_objective(xs[0], xs[1], convention),
+        lambda xs: _fidelity_mono_gradient(xs[0], xs[1], convention),
+    )
     baseline = _fidelity_mono_objective(rho.mat, sigma.mat, convention)
-    targets = [rho.mat, sigma.mat]
-
-    if _is_pure(rho) and _is_pure(sigma):
-        exts = _pure_product_extensions([rho, sigma], n)
-        objective = _fidelity_mono_objective(exts[0], exts[1], convention)
-        return QuantumnessReport(
-            value=objective - baseline,
-            objective_at_optimum=objective,
-            baseline=baseline,
-            feasibility_residual=_residual_of(exts, targets, d, n),
-            iterations=0,
-            converged=True,
-            restart_values=(objective,),
-        )
-
-    base_starts = []
-    comm = float(np.linalg.norm(rho.mat @ sigma.mat - sigma.mat @ rho.mat))
-    if comm <= 1e-9:
-        pair = Ensemble([(0.5, rho), (0.5, sigma)])
-        bset = classical_broadcast(pair, n)
-        base_starts.append([ext.mat for ext in bset.extensions])
-    base_starts.append([_interior_start(t, n) for t in targets])
-
-    def f(xs):
-        return _fidelity_mono_objective(xs[0], xs[1], convention)
-
-    def g(xs):
-        return _fidelity_mono_gradient(xs[0], xs[1], convention)
-
-    (x, fx, iters, conv, _pg), restart_values = _run_restarts(
-        targets, base_starts, f, g, d, n, cfg, floor_bound=baseline
-    )
-    return QuantumnessReport(
-        value=max(fx - baseline, 0.0),
-        objective_at_optimum=fx,
-        baseline=baseline,
-        feasibility_residual=_residual_of(x, targets, d, n),
-        iterations=iters,
-        converged=conv,
-        restart_values=tuple(restart_values),
-    )
+    pair = Ensemble([(0.5, rho), (0.5, sigma)])
+    return _optimize_extensions(pair, n, cfg or OptimizerConfig(), obj, baseline)
 
 
 def chi_q_infinite_pure(e: Ensemble) -> float:
     """Infinite-copy limit of chi_q for pure-state ensembles: H({p_i}) - chi(e)."""
     from .ensemble import shannon_entropy
 
-    if not all(_is_pure(s) for s in e.states):
+    if not all(_k.is_pure(s.mat) for s in e.states):
         raise PreconditionViolated(
             "the infinite-copy closed form only applies to pure-state ensembles"
         )

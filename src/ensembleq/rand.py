@@ -10,6 +10,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._kernel import hermitize
+
 SeedLike = Union[int, np.random.Generator]
 
 
@@ -24,7 +26,7 @@ def random_hermitian(dim: int, seed: SeedLike, scale: float = 1.0) -> np.ndarray
     """Gaussian Hermitian matrix with entries of typical size ``scale``."""
     rng = rng_from(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (g + g.conj().T) / 2
+    return scale * hermitize(g)
 
 
 def random_unitary(dim: int, seed: SeedLike) -> np.ndarray:

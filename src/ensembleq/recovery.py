@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._kernel import hermitize
 from .densmat import (
     DensityMatrix,
     _as_profile,
@@ -24,7 +25,7 @@ from .densmat import (
     matrix_to_json,
     trace_norm,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, malformed
 
 __all__ = [
     "AuReport",
@@ -49,10 +50,6 @@ CHOI_RANK_FLOOR = 1e-12
 # spectral floor deciding the support of a reference image inside the
 # recovery-map construction
 SUPPORT_FLOOR = 1e-12
-
-
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
 
 
 class Channel:
@@ -93,7 +90,7 @@ class Channel:
         for k in self._kraus:
             vec = k.reshape(-1, order="C")  # |K>> with (out, in) index order
             choi += np.outer(vec, vec.conj())
-        return _hermitize(choi)
+        return hermitize(choi)
 
     @property
     def in_dim(self) -> int:
@@ -117,7 +114,7 @@ class Channel:
 
         Eigenvalues at or below CHOI_RANK_FLOOR are dropped.
         """
-        a = _hermitize(np.array(as_matrix(choi), dtype=complex))
+        a = hermitize(np.array(as_matrix(choi), dtype=complex))
         in_dim, out_dim = int(in_dim), int(out_dim)
         if a.shape != (out_dim * in_dim, out_dim * in_dim):
             raise InvalidInput(
@@ -142,7 +139,7 @@ class Channel:
                 f"{self._in_dim}"
             )
         out = sum(k @ mat @ k.conj().T for k in self._kraus)
-        return DensityMatrix(_hermitize(out))
+        return DensityMatrix(hermitize(out))
 
     def apply_raw(self, x: np.ndarray) -> np.ndarray:
         """Apply the channel to an arbitrary operator (no state validation)."""
@@ -163,12 +160,12 @@ class Channel:
     def from_json(cls, obj) -> "Channel":
         if not isinstance(obj, dict) or "kraus" not in obj:
             raise InvalidInput("channel JSON must be an object with a 'kraus' list")
-        ops = [matrix_from_json(k) for k in obj["kraus"]]
-        ch = cls(ops)
-        if "in_dim" in obj and int(obj["in_dim"]) != ch.in_dim:
-            raise InvalidInput("declared in_dim does not match Kraus shapes")
-        if "out_dim" in obj and int(obj["out_dim"]) != ch.out_dim:
-            raise InvalidInput("declared out_dim does not match Kraus shapes")
+        with malformed("channel"):
+            ch = cls([matrix_from_json(k) for k in obj["kraus"]])
+            if "in_dim" in obj and int(obj["in_dim"]) != ch.in_dim:
+                raise InvalidInput("declared in_dim does not match Kraus shapes")
+            if "out_dim" in obj and int(obj["out_dim"]) != ch.out_dim:
+                raise InvalidInput("declared out_dim does not match Kraus shapes")
         return ch
 
     def __repr__(self) -> str:
@@ -206,7 +203,7 @@ def petz_map(reference: DensityMatrix, ch: Channel) -> Channel:
             f"{ch.in_dim}"
         )
     ref = reference.mat
-    image = _hermitize(ch.apply_raw(ref))
+    image = hermitize(ch.apply_raw(ref))
     sqrt_ref = matrix_function(ref, "sqrt")
     inv_sqrt_image = matrix_function(image, "inv_sqrt_on_support")
 
@@ -310,7 +307,7 @@ def _require_qubit(rho, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be a qubit state, got dimension {rho.dim}")
     # bit-exact symmetrization: the scan scales these by t up to 1e6, which
     # would amplify any anti-Hermitian float noise past validation tolerances
-    return _hermitize(rho.mat)
+    return hermitize(rho.mat)
 
 
 def au_feasible(rho1, rho2, sigma1, sigma2, grid: int = 1001) -> AuReport:

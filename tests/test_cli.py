@@ -243,6 +243,30 @@ def test_exit_code_on_malformed_json(tmp_path):
     assert run(["holevo", str(path)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [("p", "half"), ("dim", "two")])
+def test_exit_code_on_malformed_ensemble_field(tmp_path, capsys, field, value):
+    blob = Ensemble([(0.5, KET0), (0.5, PLUS)]).to_json()
+    if field == "p":
+        blob["members"][0]["p"] = value
+    else:
+        blob["dim"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert run(["holevo", str(path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_exit_code_on_malformed_channel_field(tmp_path, capsys):
+    ref_path = tmp_path / "ref.json"
+    ch_path = tmp_path / "ch.json"
+    ref_path.write_text(json.dumps(matrix_to_json(random_density_matrix(2, seed=41))))
+    blob = Channel(random_kraus(2, 2, 2, seed=42)).to_json()
+    blob["in_dim"] = "x"
+    ch_path.write_text(json.dumps(blob))
+    assert run(["petz-check", "--reference", str(ref_path), "--channel", str(ch_path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_exit_code_on_resource_limit(tmp_path):
     path = tmp_path / "big.json"
     e = Ensemble([(1.0, DensityMatrix(np.eye(5) / 5))])

@@ -18,6 +18,7 @@ from ensembleq.densmat import (
     trace_norm,
     von_neumann_entropy,
 )
+from ensembleq import _kernel
 from ensembleq.errors import InvalidInput
 from ensembleq.rand import (
     random_density_matrix,
@@ -280,13 +281,38 @@ def test_tensor_entropy_additivity_seed11():
 
 
 def test_embed_at_site_traces_back():
-    op = random_hermitian(2, seed=13)
-    prof = DimensionProfile((2, 2))
-    big = embed_at_site(op, prof, 1)
-    rho = random_density_matrix(4, seed=14)
-    direct = np.trace(big @ rho)
-    reduced = np.trace(op @ partial_trace(rho, prof, 1))
-    assert direct == pytest.approx(reduced, abs=1e-10)
+    # the adjoint identity tr(embed(A, site) X) = tr(A marginal(X, site)),
+    # for the validating wrappers and for the raw kernel forms
+    for dims, site in (((2, 2), 1), ((2, 2), 0), ((2, 3), 0), ((3, 2), 1), ((2, 2, 2), 1)):
+        op = random_hermitian(dims[site], seed=13)
+        rho = random_density_matrix(int(np.prod(dims)), seed=14)
+        for embed, trace_out in (
+            (lambda a: embed_at_site(a, DimensionProfile(dims), site),
+             lambda x: partial_trace(x, DimensionProfile(dims), site)),
+            (lambda a: _kernel.embed_at_site(a, dims, site),
+             lambda x: _kernel.partial_trace(x, dims, (site,))),
+        ):
+            direct = np.trace(embed(op) @ rho)
+            reduced = np.trace(op @ trace_out(rho))
+            assert direct == pytest.approx(reduced, abs=1e-10)
+
+
+def test_wrappers_match_kernel():
+    for seed in range(5):
+        rho = random_density_matrix(4, seed=60 + seed)
+        sigma = random_density_matrix(4, seed=70 + seed)
+        op = random_hermitian(2, seed=80 + seed)
+        assert von_neumann_entropy(rho) == max(_kernel.entropy_bits(rho), 0.0)
+        assert fidelity(rho, sigma, convention="root") == _kernel.fidelity_root(rho, sigma)
+        for keep in ({0}, {1}, {0, 1}):
+            assert np.array_equal(partial_trace(rho, (2, 2), keep),
+                                  _kernel.partial_trace(rho, (2, 2), keep))
+        for site in (0, 1):
+            assert np.array_equal(embed_at_site(op, (2, 2), site),
+                                  _kernel.embed_at_site(op, (2, 2), site))
+        for fn in ("log2", "sqrt", "inv_sqrt_on_support"):
+            assert np.array_equal(matrix_function(rho, fn), _kernel.matrix_function(rho, fn))
+        assert np.array_equal(tensor(tensor(rho, rho), rho), _kernel.kron_power(rho, 3))
 
 
 # ---------------------------------------------------------------------------

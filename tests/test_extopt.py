@@ -8,6 +8,9 @@ from ensembleq.ensemble import Ensemble, classical_broadcast, holevo
 from ensembleq.errors import InvalidInput, PreconditionViolated, ResourceLimit
 from ensembleq.extopt import (
     FEAS_TOL,
+    STALL_TOL,
+    STEP_INIT,
+    STEP_SHRINK,
     ExtensionSet,
     OptimizerConfig,
     QuantumnessReport,
@@ -16,6 +19,8 @@ from ensembleq.extopt import (
     chi_q,
     chi_q_infinite_pure,
     fidelity_q,
+    _marginal,
+    _project_affine,
     project_feasible,
 )
 from ensembleq.rand import (
@@ -77,9 +82,9 @@ def _power(m: np.ndarray, n: int) -> np.ndarray:
 def test_optimizer_config_defaults():
     cfg = OptimizerConfig()
     assert cfg.max_iters == 2000
-    assert cfg.step_init == 0.5
-    assert cfg.step_shrink == 0.5
-    assert cfg.convergence_tol == 1e-9
+    assert STEP_INIT == 0.5
+    assert STEP_SHRINK == 0.5
+    assert STALL_TOL == 1e-9
     assert cfg.dykstra_iters == 500
     assert cfg.restarts == 8
     assert cfg.seed == 42
@@ -88,10 +93,6 @@ def test_optimizer_config_defaults():
 def test_optimizer_config_validation():
     with pytest.raises(InvalidInput):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(InvalidInput):
-        OptimizerConfig(step_shrink=1.0)
-    with pytest.raises(InvalidInput):
-        OptimizerConfig(convergence_tol=0.0)
 
 
 def test_extension_set_accepts_feasible_members():
@@ -133,6 +134,15 @@ def test_project_feasible_pins_marginals():
     for site in range(2):
         marg = partial_trace(point.mat, (2, 2), site)
         assert np.linalg.norm(marg - target.mat) <= 1e-7
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
+def test_project_affine_returns_exact_marginals(d, n):
+    target = random_density_matrix(d, seed=54)
+    y = _project_affine(random_hermitian(d**n, seed=55), target, d, n)
+    for site in range(n):
+        assert np.linalg.norm(_marginal(y, d, n, site) - target) <= 1e-12
+    assert np.linalg.norm(_project_affine(y, target, d, n) - y) <= 1e-12
 
 
 def test_project_feasible_idempotent_on_feasible_input():
@@ -269,6 +279,9 @@ def test_chi_q_report_json_round_trip():
     back = QuantumnessReport.from_json(blob)
     assert back.value == pytest.approx(report.value, abs=1e-15)
     assert back.converged == report.converged
+    for key, bad in (("iterations", "many"), ("restarts", None)):
+        with pytest.raises(InvalidInput):
+            QuantumnessReport.from_json({**blob, key: bad})
 
 
 def test_chi_q_qutrit_commuting():
