@@ -85,8 +85,27 @@ def partial_trace(x: np.ndarray, dims: tuple, keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
+def site_view(x: np.ndarray, dims: tuple, site: int) -> np.ndarray:
+    """Writable (L, R, d, d) view of the blocks of ``x`` that I x op x I touches.
+
+    Adding ``op`` through it adds op embedded at ``site``.  ``x`` must be
+    C-contiguous: reshaping anything else copies, and the writes would be lost.
+    """
+    if not x.flags.c_contiguous:
+        raise ValueError("site_view needs a C-contiguous array")
+    left, right = math.prod(dims[:site]), math.prod(dims[site + 1:])
+    d = dims[site]
+    return np.einsum("iajibj->ijab", x.reshape(left, d, right, left, d, right))
+
+
 def embed_at_site(op: np.ndarray, dims: tuple, site: int) -> np.ndarray:
     """I x ... x op x ... x I with op on ``site``."""
-    left = np.eye(math.prod(dims[:site]), dtype=complex)
-    right = np.eye(math.prod(dims[site + 1:]), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+    big = math.prod(dims)
+    out = np.zeros((big, big), dtype=complex)
+    site_view(out, dims, site)[...] = op
+    return out
+
+
+def bloch_vector(a: np.ndarray) -> np.ndarray:
+    """Real (x, y, z) with a = (tr(a) 1 + (x, y, z) . sigma) / 2 for a 2x2 Hermitian a."""
+    return np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from . import _kernel as _k
 from .densmat import (
@@ -108,6 +106,8 @@ def _mutual_info_bits(
     probs: np.ndarray, states: Sequence[np.ndarray], elements: Sequence[np.ndarray]
 ) -> float:
     """I(label; outcome) in bits for P(i, j) = p_i Tr(rho_i M_j)."""
+    from scipy.special import xlogy
+
     joint = np.empty((len(states), len(elements)))
     for i, rho in enumerate(states):
         for j, m in enumerate(elements):
@@ -186,18 +186,9 @@ def _povm_elements_from_vectors(b: np.ndarray, d: int) -> list[np.ndarray]:
     return els
 
 
-def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            2.0 * rho[0, 1].real,
-            -2.0 * rho[0, 1].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
-    )
-
-
 def _binary_mutual_info(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Vectorized I(label; outcome) for binary outcome probabilities q[..., i]."""
+    from scipy.special import xlogy
 
     def h2(x):
         return -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / np.log(2.0)
@@ -215,7 +206,7 @@ def _projective_scan(probs: np.ndarray, states: Sequence[np.ndarray]):
     coplanar with the origin, which covers all two-member and all commuting
     ensembles); step pi / SCAN_STEPS.
     """
-    bloch = np.stack([_bloch_vector(s) for s in states])  # (k, 3)
+    bloch = np.stack([_k.bloch_vector(s) for s in states])  # (k, 3)
     u, s, vt = np.linalg.svd(bloch, full_matrices=False)
     frame = np.eye(3)[:2]
     if s.size and s[0] > 1e-12:
@@ -253,6 +244,9 @@ def accessible_information(
     exhaustive projective-plane scan.  The best candidate wins; ties keep the
     earliest.
     """
+    # scipy loads on first use, so importing the package stays light
+    from scipy.optimize import minimize
+
     cfg = cfg or OptimizerConfig(restarts=DEFAULT_ACC_RESTARTS)
     d = e.dim
     if d > ACC_DIM_CAP:

@@ -84,6 +84,8 @@ def _render_json(obj, indent: int = 0) -> str:
 
 
 def _render_csv_value(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
@@ -92,11 +94,11 @@ def _render_csv_value(v) -> str:
 
 
 def _scalar_csv(report: dict) -> str:
-    """One-row CSV for a flat report; nested values are skipped."""
+    """One-row CSV for a flat report; nested values are skipped, None is empty."""
     flat = {
         k: v
         for k, v in report.items()
-        if isinstance(v, (bool, int, float, str, np.integer, np.floating))
+        if v is None or isinstance(v, (bool, int, float, str, np.integer, np.floating))
     }
     header = ",".join(flat.keys())
     row = ",".join(_render_csv_value(v) for v in flat.values())
@@ -223,9 +225,7 @@ def _cmd_au_check(args, seed: int) -> dict:
         raise InvalidInput("au-check needs exactly one of --a or --input")
     if args.a is not None:
         ex = orthogonal_pair_example(args.a)
-        report = au_feasible(
-            ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a, grid=args.grid
-        )
+        report = au_feasible(ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a)
         out = {"a": float(args.a)}
         out.update(report.to_json())
         return out
@@ -237,9 +237,7 @@ def _cmd_au_check(args, seed: int) -> dict:
         raise InvalidInput(
             "au-check input must contain rho1, rho2, sigma1, sigma2"
         ) from exc
-    report = au_feasible(
-        mats["rho1"], mats["rho2"], mats["sigma1"], mats["sigma2"], grid=args.grid
-    )
+    report = au_feasible(mats["rho1"], mats["rho2"], mats["sigma1"], mats["sigma2"])
     return report.to_json()
 
 
@@ -350,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="check the built-in orthogonal-pair example at this a")
     sp.add_argument("--input", default=None,
                     help="JSON file with rho1, rho2, sigma1, sigma2 matrices")
-    sp.add_argument("--grid", type=int, default=1001)
     sp.set_defaults(fn=_cmd_au_check)
 
     sp = sub.add_parser("sweep-example", parents=[common, opt],

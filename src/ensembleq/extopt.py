@@ -221,12 +221,12 @@ def _project_affine(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.nda
     """
     big = d**n
     t = (np.trace(x) - np.trace(target)).real
-    y = x - (t / big) * np.eye(big, dtype=complex)
+    y = np.ascontiguousarray(x - (t / big) * np.eye(big, dtype=complex))
     dims = (d,) * n
     for site in range(n):
         r = _marginal(x, d, n, site) - target
         r_traceless = r - (np.trace(r) / d) * np.eye(d, dtype=complex)
-        y = y - _k.embed_at_site(r_traceless, dims, site) / d ** (n - 1)
+        _k.site_view(y, dims, site)[...] -= r_traceless / d ** (n - 1)
     return y
 
 
@@ -267,7 +267,8 @@ def _scaling_iproject(log_sigma: np.ndarray, target: np.ndarray,
     multiplier sum is returned alongside the projection.
     """
     dims = (d,) * n
-    mult = np.zeros_like(log_sigma) if mult_init is None else mult_init
+    # the multipliers are updated in place, so they must not alias ``mult_init``
+    mult = np.zeros_like(log_sigma) if mult_init is None else mult_init.copy()
     L = log_sigma + mult
     E = _k.matrix_function(L, "exp")
     for _ in range(sweeps):
@@ -275,9 +276,9 @@ def _scaling_iproject(log_sigma: np.ndarray, target: np.ndarray,
         for k in range(n):
             mk = _marginal(E, d, n, k)
             worst = max(worst, float(np.linalg.norm(mk - target)))
-            corr = _k.embed_at_site(log_target - _k.matrix_function(mk, "log"), dims, k)
-            mult = mult + corr
-            L = L + corr
+            corr = log_target - _k.matrix_function(mk, "log")
+            _k.site_view(mult, dims, k)[...] += corr
+            _k.site_view(L, dims, k)[...] += corr
             E = _k.matrix_function(L, "exp")
         if worst < tol:
             break
@@ -286,7 +287,7 @@ def _scaling_iproject(log_sigma: np.ndarray, target: np.ndarray,
 
 def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                      probs: np.ndarray, d: int, n: int,
-                     rounds: int, deep_check=None) -> list[np.ndarray]:
+                     rounds: int, deep_check=None):
     """Alternating-minimization warm start for the extension-chi objective.
 
     Alternates the two closed-form block minimizations of
@@ -302,6 +303,9 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     flattens out many rounds before the iterate settles, so the stop rule
     watches the certificate, not the objective: refinement continues while the
     certificate keeps contracting, and hands over once it passes or stalls.
+
+    Returns the refined extensions and ``deep_check``'s norm at exactly those
+    extensions (None if it was not checked there).
     """
     log_targets = [_k.matrix_function(t, "log") for t in targets]
     # a pure target admits exactly one feasible extension; its block update
@@ -346,9 +350,9 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
             pg = deep_check(E)
             since_check = 0
             if pg <= 0.5 * PG_TOL or pg > 0.9 * last_pg:
-                break  # certified, or stalled: hand over to descent
+                return E, pg  # certified, or stalled: hand over to descent
             last_pg = pg
-    return E
+    return E, None
 
 
 def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
@@ -553,13 +557,15 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
 
 
 def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-             obj: _Objective, d: int, n: int, cfg: OptimizerConfig):
+             obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
+             pg_first: Optional[float] = None):
     """Projected gradient descent with Armijo backtracking.
 
     Returns ``(x, fx, iterations, converged)`` where ``converged`` certifies a
     projected-gradient-mapping norm at most PG_TOL.  For the entropic
     objective, an interior escape probe must additionally confirm any
-    boundary-face point before it is certified.
+    boundary-face point before it is certified.  ``pg_first``, the mapping
+    norm if already known at ``x0``, spares the first iteration its probe.
     """
     f, grad, probs = obj
 
@@ -576,7 +582,8 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
     pg_norm = np.inf
     for iters in range(1, cfg.max_iters + 1):
         g = grad(x)
-        pg_norm = _pg_mapping_norm(x, g, targets, d, n, cfg)
+        pg_norm = (pg_first if iters == 1 and pg_first is not None
+                   else _pg_mapping_norm(x, g, targets, d, n, cfg))
         if pg_norm <= PG_TOL:
             on_face = any(
                 float(np.linalg.eigvalsh(_k.hermitize(xi))[0]) < SNAP_TOL for xi in x
@@ -717,12 +724,13 @@ def _run_restarts(targets: list[np.ndarray], base_starts: list[list[np.ndarray]]
             f0 = max(f0, floor_bound)  # dips below a proven floor are rounding
             restart_values.append(f0)
             return (snapped, f0, 0, True), restart_values
+        pg_first = None
         if obj.probs is not None:
-            xs = _entropic_refine(
+            xs, pg_first = _entropic_refine(
                 snapped, targets, obj.probs, d, n,
                 rounds=REFINE_ROUNDS, deep_check=deep_check,
             )
-        x, fx, iters, conv = _descend(xs, targets, obj, d, n, cfg)
+        x, fx, iters, conv = _descend(xs, targets, obj, d, n, cfg, pg_first)
         if saturated(fx):
             fx = max(fx, floor_bound)
             conv = True

@@ -4,8 +4,8 @@ Channels are stored as Kraus operator lists and validated as completely
 positive and trace preserving at construction.  The recovery map built from a
 reference state reverses a channel on that state exactly and, in the equality
 cases of the data-processing inequality, on entire families of states.  The
-pair-transformation check implements the qubit criterion comparing trace-norm
-separations across a parameter grid.
+pair-transformation check implements the qubit Alberti-Uhlmann criterion,
+comparing trace-norm separations, with its exact minimum in closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernel as _k
 from ._kernel import hermitize
 from .densmat import (
     DensityMatrix,
@@ -23,7 +24,6 @@ from .densmat import (
     matrix_from_json,
     matrix_function,
     matrix_to_json,
-    trace_norm,
 )
 from .errors import InvalidInput, malformed
 
@@ -237,64 +237,41 @@ def partial_trace_channel(profile, keep) -> Channel:
     traced = [i for i in range(n) if i not in keep_list]
     d_total = prof.total_dim
     d_keep = int(np.prod([dims[i] for i in keep_list]))
-
-    if not traced:
-        return identity_channel(d_total)
-
-    # one Kraus operator per basis vector of the traced subsystem
-    traced_dims = [dims[i] for i in traced]
-    ops = []
-    for flat in range(int(np.prod(traced_dims))):
-        rem, m_idx = flat, []
-        for td in reversed(traced_dims):
-            m_idx.append(rem % td)
-            rem //= td
-        m_idx.reverse()
-        k = np.zeros((d_keep, d_total), dtype=complex)
-        for full in range(d_total):
-            rem, digits = full, []
-            for d_site in reversed(dims):
-                digits.append(rem % d_site)
-                rem //= d_site
-            digits.reverse()
-            if [digits[i] for i in traced] != m_idx:
-                continue
-            kept_digits = [digits[i] for i in keep_list]
-            row = 0
-            for i, kd in zip(keep_list, kept_digits):
-                row = row * dims[i] + kd
-            k[row, full] = 1.0
-        ops.append(k)
+    # one Kraus operator <m|_traced (x) 1_kept per basis vector m of the traced sites
+    ops = (
+        np.eye(d_total, dtype=complex)
+        .reshape(*dims, d_total)
+        .transpose(*traced, *keep_list, n)
+        .reshape(-1, d_keep, d_total)
+    )
     return Channel(ops)
 
 
 @dataclass(frozen=True)
 class AuReport:
-    """Result of the qubit pair-transformation feasibility scan.
+    """Infimum over t >= 0 of ||rho1 - t*rho2||_1 - ||sigma1 - t*sigma2||_1.
 
-    ``min_margin`` is the smallest value over the parameter grid of
-    ||rho1 - t*rho2||_1 - ||sigma1 - t*sigma2||_1; the transformation is
-    feasible exactly when no margin is meaningfully negative.
+    ``argmin_t`` attains it, or is None when only the limit t -> infinity does.
+    The transformation is feasible exactly when no margin is meaningfully negative.
     """
 
     feasible: bool
     min_margin: float
-    argmin_t: float
-    grid_size: int
+    argmin_t: Optional[float]
 
     def to_json(self) -> dict:
         return {
             "feasible": bool(self.feasible),
             "min_margin": float(self.min_margin),
-            "argmin_t": float(self.argmin_t),
-            "grid_size": int(self.grid_size),
+            "argmin_t": None if self.argmin_t is None else float(self.argmin_t),
         }
 
 
 AU_FEASIBLE_TOL = 1e-8
 
-# large-parameter probe standing in for the end point of the grid
-AU_LIMIT_T = 1e6
+# leading polynomial coefficients at or below this are rounding noise; they
+# would put spurious roots at t ~ 1e16, where the margin is not resolvable
+AU_COEF_FLOOR = 1e-12
 
 
 def _require_qubit(rho, name: str) -> np.ndarray:
@@ -305,45 +282,56 @@ def _require_qubit(rho, name: str) -> np.ndarray:
             raise InvalidInput(f"{name}: {exc}") from exc
     if rho.dim != 2:
         raise InvalidInput(f"{name} must be a qubit state, got dimension {rho.dim}")
-    # bit-exact symmetrization: the scan scales these by t up to 1e6, which
-    # would amplify any anti-Hermitian float noise past validation tolerances
-    return hermitize(rho.mat)
+    return rho.mat
 
 
-def au_feasible(rho1, rho2, sigma1, sigma2, grid: int = 1001) -> AuReport:
+def _nonnegative_roots(poly: np.ndarray) -> list[float]:
+    # a double root comes out as a complex pair split by ~1e-8, so every root
+    # is kept by its real part: a surplus candidate cannot raise the minimum
+    big = np.flatnonzero(np.abs(poly) > AU_COEF_FLOOR)
+    roots = np.roots(poly[big[0]:]).real if big.size else []
+    return [float(t) for t in roots if t >= 0.0]
+
+
+def au_feasible(rho1, rho2, sigma1, sigma2) -> AuReport:
     """Qubit criterion for the existence of a channel sending rho_i to sigma_i.
 
-    A channel with sigma_i = ch(rho_i) for i = 1, 2 exists if and only if
-    ||rho1 - t*rho2||_1 >= ||sigma1 - t*sigma2||_1 for every t >= 0.  The scan
-    substitutes t = s/(1-s) for s on a uniform grid over [0, 1); the s -> 1
-    end point compares the leading coefficients (both unit trace norms, always
-    a tie) and is therefore resolved by the margin at a large finite t.
+    Such a channel exists if and only if ||rho1 - t*rho2||_1 >=
+    ||sigma1 - t*sigma2||_1 for every t >= 0 (Alberti and Uhlmann).  For qubits
+    ||(c 1 + v.sigma)/2||_1 = max(|c|, |v|), so with Bloch vectors the margin is
+    max(c, f) - max(c, g), c = |1 - t|, f = |r1 - t r2|, g = |s1 - t s2|.  It
+    is 0 at t = 0 and never negative where g <= c.  Where g > c it is c - g or
+    f - g.  As g is convex, c - g is concave on each side of the kink t = 1, so
+    its minimum lies at t = 0, t = 1, a breakpoint f = c or where g = c (margin
+    >= 0); f - g is stationary where f' = g'.  f^2 and g^2 are quadratics, so
+    the breakpoints and the stationary points are roots of polynomials of
+    degree 2 and 4.  The limit t -> infinity is
+    (s1.s2 if sigma2 is pure else 1) - (r1.r2 if rho2 is pure else 1).
     """
-    grid = int(grid)
-    if grid < 101:
-        raise InvalidInput(f"grid must be at least 101, got {grid}")
-    r1 = _require_qubit(rho1, "rho1")
-    r2 = _require_qubit(rho2, "rho2")
-    s1 = _require_qubit(sigma1, "sigma1")
-    s2 = _require_qubit(sigma2, "sigma2")
-
-    worst = np.inf
-    arg = 0.0
-    for j in range(grid):
-        s = j / grid
-        t = s / (1.0 - s)
-        margin = trace_norm(r1 - t * r2) - trace_norm(s1 - t * s2)
-        if margin < worst:
-            worst, arg = margin, t
-    margin = trace_norm(r1 - AU_LIMIT_T * r2) - trace_norm(s1 - AU_LIMIT_T * s2)
-    if margin < worst:
-        worst, arg = margin, AU_LIMIT_T
-    return AuReport(
-        feasible=bool(worst >= -AU_FEASIBLE_TOL),
-        min_margin=float(worst),
-        argmin_t=float(arg),
-        grid_size=grid,
+    mats = [_require_qubit(m, name) for m, name in
+            zip((rho1, rho2, sigma1, sigma2), ("rho1", "rho2", "sigma1", "sigma2"))]
+    r1, r2, s1, s2 = (_k.bloch_vector(m) for m in mats)
+    # f^2, g^2, c^2 and f f', g g' (half the derivatives), highest power first;
+    # f' = g' squared is (f f')^2 g^2 = (g g')^2 f^2
+    f2 = np.array([r2 @ r2, -2.0 * (r1 @ r2), r1 @ r1])
+    g2 = np.array([s2 @ s2, -2.0 * (s1 @ s2), s1 @ s1])
+    c2 = np.array([1.0, -2.0, 1.0])
+    ff, gg = np.polyder(f2) / 2.0, np.polyder(g2) / 2.0
+    polys = (
+        f2 - c2,
+        np.polysub(np.polymul(np.polymul(ff, ff), g2), np.polymul(np.polymul(gg, gg), f2)),
     )
+    ts = np.array([0.0, 1.0] + [t for p in polys for t in _nonnegative_roots(p)])
+    c = np.abs(1.0 - ts)
+    margins = np.maximum(c, np.linalg.norm(r1 - ts[:, None] * r2, axis=1)) - np.maximum(
+        c, np.linalg.norm(s1 - ts[:, None] * s2, axis=1)
+    )
+    best = int(np.argmin(margins))
+    worst, arg = float(margins[best]), float(ts[best])
+    limit = (s1 @ s2 if _k.is_pure(mats[3]) else 1.0) - (r1 @ r2 if _k.is_pure(mats[1]) else 1.0)
+    if limit < worst:
+        worst, arg = float(limit), None
+    return AuReport(feasible=bool(worst >= -AU_FEASIBLE_TOL), min_margin=worst, argmin_t=arg)
 
 
 @dataclass(frozen=True)

@@ -124,12 +124,12 @@ def test_criterion_01_example_closed_forms():
 def test_criterion_02_pair_transformation_sweep():
     start = time.perf_counter()
     ex0 = orthogonal_pair_example(0.0)
-    rep0 = au_feasible(ex0.rho1_b, ex0.rho2_b, ex0.rho1_a, ex0.rho2_a, grid=1001)
+    rep0 = au_feasible(ex0.rho1_b, ex0.rho2_b, ex0.rho1_a, ex0.rho2_a)
     feasible_at_zero = rep0.feasible
     margins = []
     for a in np.linspace(0.05, 0.45, 9):
         ex = orthogonal_pair_example(a)
-        rep = au_feasible(ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a, grid=1001)
+        rep = au_feasible(ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a)
         margins.append((a, rep.feasible, rep.min_margin))
     elapsed = time.perf_counter() - start
     all_infeasible = all(

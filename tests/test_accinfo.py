@@ -1,5 +1,8 @@
 """Accessible information, measurement optimization, infinite-copy limits."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -225,3 +228,14 @@ def test_pure_limits_reject_mixed_members():
     )
     with pytest.raises(PreconditionViolated):
         pure_limit_identities(e, CHEAP)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported on first use by the measurement optimizer, so the
+    # package and every CLI call that does not optimize measurements stay light
+    code = "import sys, ensembleq; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

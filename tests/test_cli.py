@@ -134,8 +134,19 @@ def test_au_check_builtin_example(capsys):
     blob = run_json(capsys, ["au-check", "--a", "0.25"])
     assert blob["a"] == 0.25
     assert blob["feasible"] is False
-    assert blob["min_margin"] == pytest.approx(-0.7318185294604439, abs=1e-9)
-    assert blob["grid_size"] == 1001
+    assert blob["min_margin"] == pytest.approx(1.0 - np.sqrt(3.0), abs=1e-9)
+    assert blob["argmin_t"] == 2
+    assert set(blob) == {"a", "feasible", "min_margin", "argmin_t"}
+
+
+def test_au_check_limit_only_infimum(capsys):
+    # at a = 1/2 only the limit t -> infinity attains the infimum: null in
+    # JSON, an empty last field in CSV
+    blob = run_json(capsys, ["au-check", "--a", "0.5"])
+    assert blob["min_margin"] == -1
+    assert blob["argmin_t"] is None
+    assert run(["au-check", "--a", "0.5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "a,feasible,min_margin,argmin_t\n0.5,false,-1,\n"
 
 
 def test_au_check_input_file(tmp_path, capsys):

@@ -297,6 +297,22 @@ def test_embed_at_site_traces_back():
             assert direct == pytest.approx(reduced, abs=1e-10)
 
 
+def test_site_view_adds_the_embedded_operator_in_place():
+    for dims, site in (((2, 2), 0), ((2, 3), 1), ((3, 2, 2), 1), ((2, 2, 3), 2)):
+        big = int(np.prod(dims))
+        op = random_hermitian(dims[site], seed=17)
+        left = np.eye(int(np.prod(dims[:site])))
+        right = np.eye(int(np.prod(dims[site + 1:])))
+        kron_form = np.kron(np.kron(left, op), right)
+        assert np.array_equal(_kernel.embed_at_site(op, dims, site), kron_form)
+        x = random_density_matrix(big, seed=18)
+        y = x.copy()
+        _kernel.site_view(y, dims, site)[...] += op
+        assert np.array_equal(y, x + kron_form)
+    with pytest.raises(ValueError):
+        _kernel.site_view(np.asfortranarray(random_density_matrix(4, seed=19)), (2, 2), 0)
+
+
 def test_wrappers_match_kernel():
     for seed in range(5):
         rho = random_density_matrix(4, seed=60 + seed)

@@ -28,10 +28,10 @@ from ensembleq.recovery import (
     petz_map,
 )
 
-# Frozen worst margins of the B-side -> A-side transformation for the
-# orthogonal two-qubit pair (grid = 1001).
-AU_MARGIN_005 = -0.372686528478801
-AU_MARGIN_025 = -0.7318185294604439
+# Exact worst margins of the B-side -> A-side transformation for the
+# orthogonal two-qubit pair (a = 0.25: 1 - sqrt(3), reached at t = 2).
+AU_MARGIN_005 = -0.3732109937267415
+AU_MARGIN_025 = 1.0 - np.sqrt(3.0)
 AU_MARGIN_045 = -0.9498743710661994
 
 
@@ -147,15 +147,24 @@ def test_petz_rebroadcasts_commuting_extensions():
 # partial-trace channels
 # ---------------------------------------------------------------------------
 
-def test_partial_trace_channel_matches_direct():
-    for trial, (profile, keep) in enumerate(
-        [((2, 2), 0), ((2, 3), 1), ((2, 2, 2), [0, 2]), ((3, 2), 0)]
-    ):
-        total = int(np.prod(profile))
-        rho = random_density_matrix(total, seed=400 + trial)
-        ch = partial_trace_channel(profile, keep)
-        direct = partial_trace(rho, DimensionProfile(profile), keep)
-        assert np.allclose(ch.apply(DensityMatrix(rho)).mat, direct, atol=1e-10)
+@pytest.mark.parametrize(
+    "trial, profile, keep",
+    [
+        (0, (2, 2), 0),
+        (1, (2, 3), 1),
+        (2, (2, 2, 2), [0, 2]),
+        (3, (3, 2), 0),
+        (4, (2, 3, 2), [0, 2]),
+        (5, (3, 2, 2), 1),
+    ],
+    ids=["2x2-keep0", "2x3-keep1", "2x2x2-keep02", "3x2-keep0", "2x3x2-keep02", "3x2x2-keep1"],
+)
+def test_partial_trace_channel_matches_direct(trial, profile, keep):
+    total = int(np.prod(profile))
+    rho = random_density_matrix(total, seed=400 + trial)
+    ch = partial_trace_channel(profile, keep)
+    direct = partial_trace(rho, DimensionProfile(profile), keep)
+    assert np.allclose(ch.apply(DensityMatrix(rho)).mat, direct, atol=1e-10)
 
 
 def test_partial_trace_channel_keep_all_is_identity():
@@ -194,7 +203,6 @@ def test_au_identity_pair_is_feasible():
     report = au_feasible(rho1, rho2, rho1, rho2)
     assert report.feasible
     assert report.min_margin >= -1e-8
-    assert report.grid_size == 1001
 
 
 def test_au_channel_images_are_feasible():
@@ -221,7 +229,57 @@ def test_au_example_backward_direction_fails():
     report = au_feasible(ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a)
     assert not report.feasible
     assert report.min_margin == pytest.approx(AU_MARGIN_025, abs=1e-9)
-    assert report.argmin_t == pytest.approx(2.0, abs=0.05)
+    assert report.argmin_t == pytest.approx(2.0, abs=1e-9)
+
+
+def test_au_infimum_only_in_the_limit():
+    # at a = 1/2 the margin sqrt(1 + t^2) - (1 + t) tends to -1 without
+    # reaching it, so no finite t attains the infimum
+    ex = orthogonal_pair_example(0.5)
+    report = au_feasible(ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a)
+    assert not report.feasible
+    assert report.min_margin == pytest.approx(-1.0, abs=1e-12)
+    assert report.argmin_t is None
+    assert report.to_json()["argmin_t"] is None
+
+
+def test_au_min_margin_is_exact_on_random_quadruples():
+    # never above a dense scan of t, and attained at argmin_t when finite;
+    # ranks 1 and 2 are mixed so that some infima are only the t -> infinity limit
+    ts = np.concatenate([np.linspace(0.0, 20.0, 4001), np.linspace(20.0, 200.0, 901)])
+
+    def scanned_norms(a, b):
+        return np.abs(np.linalg.eigvalsh(a - ts[:, None, None] * b)).sum(axis=1)
+
+    limit_only = 0
+    for trial in range(30):
+        r1, r2, s1, s2 = (
+            random_density_matrix(2, seed=1100 + 4 * trial + j, rank=1 + ((trial >> j) & 1))
+            for j in range(4)
+        )
+        report = au_feasible(r1, r2, s1, s2)
+        scan = float((scanned_norms(r1, r2) - scanned_norms(s1, s2)).min())
+        assert report.min_margin <= scan + 1e-12, f"above the scan at trial {trial}"
+        if report.argmin_t is None:
+            limit_only += 1
+            continue
+        t = report.argmin_t
+        assert t >= 0.0
+        at_t = trace_norm(r1 - t * r2) - trace_norm(s1 - t * s2)
+        assert at_t == pytest.approx(report.min_margin, abs=1e-12)
+    assert limit_only > 0
+
+
+def test_au_equal_inputs_are_separated_at_the_kink():
+    # rho1 = rho2 cannot be sent to two different states: the margin
+    # min(0, |1 - t| - |s1 - t s2|) reaches -||sigma1 - sigma2||_1 at t = 1;
+    # a pure rho leaves only a double root of the quartic there
+    rho = DensityMatrix.from_statevector([1.0, 1.0])
+    sigma1 = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
+    sigma2 = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
+    report = au_feasible(rho, rho, sigma1, sigma2)
+    assert report.min_margin == pytest.approx(-1.2, abs=1e-12)
+    assert report.argmin_t == 1.0
 
 
 def test_au_example_forward_direction_succeeds():
@@ -243,12 +301,6 @@ def test_au_rejects_non_qubit_inputs():
     qubit = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(InvalidInput):
         au_feasible(rho, rho, qubit, qubit)
-
-
-def test_au_rejects_tiny_grid():
-    qubit = DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(InvalidInput):
-        au_feasible(qubit, qubit, qubit, qubit, grid=50)
 
 
 def test_au_report_fields():
