@@ -3,10 +3,11 @@
 Accessible information is the largest classical mutual information between the
 ensemble label and the outcome of any measurement.  It is bounded above by the
 Holevo quantity, with equality exactly for commuting ensembles.  The optimizer
-here reports a certified lower bound: a seeded multi-start simplex ascent over
-a completeness-preserving measurement parametrization, strengthened on qubits
-by an exhaustive scan over binary projective measurements in the plane spanned
-by the member states.
+here reports a lower bound: the best of seeded fixed-point ascents over
+rank-one measurements with at most d^2 outcomes (which suffice, by Davies,
+IEEE TIT 24, 596 (1978)), each run until its steps no longer move it,
+strengthened on qubits by an exhaustive scan over binary projective
+measurements in the plane spanned by the member states.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .densmat import (
     von_neumann_entropy,
 )
 from .ensemble import Ensemble, holevo, shannon_entropy
-from .errors import InvalidInput, PreconditionViolated, ResourceLimit
+from .errors import InvalidInput, PreconditionViolated, ResourceLimit, malformed
 from .extopt import OptimizerConfig
 from .rand import rng_from
 
@@ -96,32 +97,32 @@ class Povm:
     def from_json(cls, obj) -> "Povm":
         if not isinstance(obj, dict) or "elements" not in obj:
             raise InvalidInput("POVM JSON must be an object with an 'elements' list")
-        return cls([matrix_from_json(m) for m in obj["elements"]])
+        with malformed("POVM"):
+            return cls([matrix_from_json(m) for m in obj["elements"]])
 
     def __repr__(self) -> str:
         return f"Povm(dim={self.dim}, elements={len(self.elements)})"
 
 
-def _mutual_info_bits(
-    probs: np.ndarray, states: Sequence[np.ndarray], elements: Sequence[np.ndarray]
-) -> float:
-    """I(label; outcome) in bits for P(i, j) = p_i Tr(rho_i M_j)."""
-    from scipy.special import xlogy
+def _mutual_info_bits(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """I(label; outcome) in bits from outcome probabilities q[..., i, k] = Tr(rho_i M_k)."""
+    return np.einsum("i,...ik->...", probs, q * _log_ratio(probs, q)) / np.log(2.0)
 
-    joint = np.empty((len(states), len(elements)))
-    for i, rho in enumerate(states):
-        for j, m in enumerate(elements):
-            joint[i, j] = probs[i] * max(float(np.trace(rho @ m).real), 0.0)
-    total = joint.sum()
-    if total <= 0.0:
-        return 0.0
-    joint /= total
-    rows = joint.sum(axis=1)
-    cols = joint.sum(axis=0)
-    h_rows = -xlogy(rows, rows).sum()
-    h_cols = -xlogy(cols, cols).sum()
-    h_joint = -xlogy(joint, joint).sum()
-    return float(max(h_rows + h_cols - h_joint, 0.0)) / np.log(2.0)
+
+def _log_ratio(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """ln(q_ik / q_k) with q_k = sum_i p_i q_ik, and 0 where q_ik or q_k is 0."""
+    q_k = np.einsum("i,...ik->...k", probs, q)[..., None, :]
+    seen = (q > 0.0) & (q_k > 0.0)
+    return np.log(np.where(seen, q, 1.0) / np.where(seen, q_k, 1.0))
+
+
+def _outcomes(states: np.ndarray, b: np.ndarray):
+    """Outcome probabilities of the rank-one elements |b_k><b_k|, b[..., k, :] = b_k.
+
+    Returns q[..., i, k] = <b_k| rho_i |b_k> and the images rb[..., i, k, :] = rho_i b_k.
+    """
+    rb = b[..., None, :, :] @ np.swapaxes(states, -1, -2)
+    return np.einsum("...kx,...ikx->...ik", b.conj(), rb).real, rb
 
 
 def mutual_information(e: Ensemble, m: Povm) -> float:
@@ -132,8 +133,9 @@ def mutual_information(e: Ensemble, m: Povm) -> float:
         raise InvalidInput(
             f"measurement dimension {m.dim} does not match ensemble dimension {e.dim}"
         )
-    states = [s.mat for s in e.states]
-    return _mutual_info_bits(e.probs, states, m.elements)
+    states = np.stack([s.mat for s in e.states])
+    q = np.einsum("ixy,kyx->ik", states, np.stack(m.elements)).real
+    return float(max(_mutual_info_bits(e.probs, q), 0.0))
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,9 @@ class AccInfoReport:
     """Lower bound on accessible information with the achieving measurement.
 
     ``mutual_info_per_restart`` records the value found by every optimization
-    candidate (seeded simplex restarts, plus the projective scan on qubits),
-    so outliers are auditable.  ``holevo_gap`` is chi - value, nonnegative up
-    to solver tolerance.
+    candidate (the seeded fixed-point ascents, plus the projective scan on
+    qubits), so outliers are auditable.  ``holevo_gap`` is chi - value,
+    nonnegative up to solver tolerance.
     """
 
     value: float
@@ -162,40 +164,54 @@ class AccInfoReport:
         }
 
 
-def _povm_elements_from_vectors(b: np.ndarray, d: int) -> list[np.ndarray]:
-    """Completeness-preserving map from m unconstrained vectors to elements.
+def _complete(c: np.ndarray) -> np.ndarray:
+    """Rows b_k = G^{-1/2} c_k with G = sum_k c_k c_k^dag, so sum_k b_k b_k^dag = 1.
 
-    M_i = T^{-1/2} b_i b_i^dag T^{-1/2} with T = sum_i b_i b_i^dag; T's spectrum
-    is floored at NORMALIZER_FLOOR and any residual deficit from flooring is
-    appended as an extra element so the result always sums to the identity.
+    Leading axes are independent sets.  G's spectrum is floored at
+    NORMALIZER_FLOOR before the inverse square root.
     """
-    t = np.zeros((d, d), dtype=complex)
-    for bi in b:
-        t += np.outer(bi, bi.conj())
-    w, v = np.linalg.eigh(_k.hermitize(t))
-    w = np.maximum(w, NORMALIZER_FLOOR)
-    t_inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    els = []
-    for bi in b:
-        c = t_inv_sqrt @ bi
-        els.append(np.outer(c, c.conj()))
-    deficit = np.eye(d) - sum(els)
-    deficit = _k.hermitize(deficit)
-    if float(np.linalg.norm(deficit)) > 1e-12:
-        els.append(deficit)
-    return els
+    w, v = np.linalg.eigh(np.swapaxes(c, -1, -2) @ c.conj())
+    scaled = v / np.sqrt(np.maximum(w, NORMALIZER_FLOOR))[..., None, :]
+    return c @ (v.conj() @ np.swapaxes(scaled, -1, -2))
 
 
-def _binary_mutual_info(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Vectorized I(label; outcome) for binary outcome probabilities q[..., i]."""
-    from scipy.special import xlogy
+def _ascend(probs: np.ndarray, states: np.ndarray, b: np.ndarray, max_iters: int):
+    """Fixed-point ascent of the mutual information over rank-one measurements.
 
-    def h2(x):
-        return -(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / np.log(2.0)
-
-    avg = q @ probs
-    cond = h2(q) @ probs
-    return h2(avg) - cond
+    ``b[s]`` holds the vectors of start s; the starts advance together, each on
+    its own step size.  A step moves b_k to b_k + eps R_k b_k with
+    R_k = sum_i p_i rho_i ln(q_ik / q_k), the gradient of the information (in
+    nats) with respect to M_k, and restores completeness (Rehacek, Englert and
+    Kaszlikowski, PRA 71, 054303 (2005)).  eps doubles after an accepted step
+    and halves within a step until the information does not fall.  A start
+    stops when a step gains nothing because it no longer moves the vectors in
+    floating point, or after ``max_iters`` steps.  Steps on which the value
+    only holds are kept: near a saddle the gains fall below rounding long
+    before the ascent has left it.  Returns (values in bits, vectors), one per
+    start.
+    """
+    b = b.copy()
+    q, rb = _outcomes(states, b)
+    val = _mutual_info_bits(probs, q)
+    eps = np.ones(len(b))
+    steps = np.zeros(len(b), dtype=int)
+    live = np.arange(len(b))
+    while live.size:
+        b_live = b[live]
+        direction = np.einsum("i,...ik,...ikx->...kx", probs, _log_ratio(probs, q[live]), rb[live])
+        c = b_live + eps[live, None, None] * direction
+        trial = _complete(c)
+        q_trial, rb_trial = _outcomes(states, trial)
+        val_trial = _mutual_info_bits(probs, q_trial)
+        moved = np.any(c != b_live, axis=(1, 2))
+        kept = moved & (val_trial >= val[live])
+        up = live[kept]
+        b[up], q[up], rb[up], val[up] = trial[kept], q_trial[kept], rb_trial[kept], val_trial[kept]
+        eps[up] *= 2.0
+        eps[live[moved & ~kept]] /= 2.0
+        steps[up] += 1
+        live = live[moved & (steps[live] < max_iters)]
+    return val, b
 
 
 def _projective_scan(probs: np.ndarray, states: Sequence[np.ndarray]):
@@ -220,8 +236,8 @@ def _projective_scan(probs: np.ndarray, states: Sequence[np.ndarray]):
         frame = np.stack([e1, e2])
     thetas = np.arange(SCAN_STEPS) * (np.pi / SCAN_STEPS)
     dirs = np.cos(thetas)[:, None] * frame[0] + np.sin(thetas)[:, None] * frame[1]
-    q = (1.0 + bloch @ dirs.T).T / 2.0  # (steps, k) outcome-plus probabilities
-    vals = _binary_mutual_info(probs, np.clip(q, 0.0, 1.0))
+    q = np.clip((1.0 + bloch @ dirs.T).T / 2.0, 0.0, 1.0)  # (steps, k) outcome-plus probabilities
+    vals = _mutual_info_bits(probs, np.stack([q, 1.0 - q], axis=-1))
     best = int(np.argmax(vals))
     n = dirs[best]
     pauli = (
@@ -238,15 +254,13 @@ def accessible_information(
 ) -> AccInfoReport:
     """Best found measurement mutual information; a lower bound on the truth.
 
-    Runs ``cfg.restarts`` seeded simplex ascents over a rank-one measurement
-    parametrization with d^2 outcomes (the first start uses the eigenbasis of
-    the average state, exact for commuting ensembles), and on qubits also the
-    exhaustive projective-plane scan.  The best candidate wins; ties keep the
-    earliest.
+    Runs ``cfg.restarts`` seeded fixed-point ascents over rank-one
+    measurements, each capped at ``cfg.max_iters`` steps: the first starts at
+    the eigenbasis of the average state (d outcomes, exact for commuting
+    ensembles), every further one at a random set of d^2 vectors.  On qubits
+    the exhaustive projective-plane scan runs as well.  The best candidate
+    wins; ties keep the earliest.
     """
-    # scipy loads on first use, so importing the package stays light
-    from scipy.optimize import minimize
-
     cfg = cfg or OptimizerConfig(restarts=DEFAULT_ACC_RESTARTS)
     d = e.dim
     if d > ACC_DIM_CAP:
@@ -254,51 +268,24 @@ def accessible_information(
             f"measurement optimization capped at dimension {ACC_DIM_CAP}, got {d}"
         )
     probs = e.probs
-    states = [s.mat for s in e.states]
-    m = d * d
+    states = np.stack([s.mat for s in e.states])
 
-    def unpack(x: np.ndarray) -> np.ndarray:
-        parts = x.reshape(m, 2, d)
-        return parts[:, 0, :] + 1j * parts[:, 1, :]
-
-    def value_of(x: np.ndarray) -> float:
-        return _mutual_info_bits(
-            probs, states, _povm_elements_from_vectors(unpack(x), d)
-        )
-
-    # deterministic first start: projectors of the average-state eigenbasis
-    avg = e.average_state().mat
-    _, vecs = np.linalg.eigh(avg)
-    x_eig = np.zeros((m, 2, d))
-    for j in range(d):
-        x_eig[j, 0, :] = vecs[:, j].real
-        x_eig[j, 1, :] = vecs[:, j].imag
-
-    starts = [x_eig.reshape(-1)]
-    rng = rng_from(cfg.seed)
-    for _ in range(max(cfg.restarts - 1, 0)):
-        starts.append(rng.normal(size=2 * m * d))
+    _, vecs = np.linalg.eigh(e.average_state().mat)
+    g = rng_from(cfg.seed).normal(size=(cfg.restarts - 1, 2, d * d, d))
+    runs = [
+        _ascend(probs, states, vecs.T[None], cfg.max_iters),
+        _ascend(probs, states, _complete(g[:, 0] + 1j * g[:, 1]), cfg.max_iters),
+    ]
 
     per_restart: list[float] = []
     best_val = -np.inf
     best_elements: Optional[list[np.ndarray]] = None
-    for x0 in starts:
-        res = minimize(
-            lambda x: -value_of(x),
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": 200 * x0.size,
-                "xatol": 1e-6,
-                "fatol": 1e-10,
-                "adaptive": True,
-            },
-        )
-        val = value_of(res.x)
-        per_restart.append(val)
-        if val > best_val:
-            best_val = val
-            best_elements = _povm_elements_from_vectors(unpack(res.x), d)
+    for vals, vectors in runs:
+        for val, b in zip(vals, vectors):
+            per_restart.append(float(val))
+            if val > best_val:
+                best_val = val
+                best_elements = [np.outer(bk, bk.conj()) for bk in b]
 
     if d == 2:
         scan_val, scan_els = _projective_scan(probs, states)

@@ -299,9 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="write to this path atomically instead of stdout")
 
-    opt = argparse.ArgumentParser(add_help=False)
-    opt.add_argument("--restarts", type=int, default=None)
-    opt.add_argument("--max-iters", type=int, default=None)
+    # the measurement optimizer has no Dykstra projections
+    acc = argparse.ArgumentParser(add_help=False)
+    acc.add_argument("--restarts", type=int, default=None)
+    acc.add_argument("--max-iters", type=int, default=None)
+    opt = argparse.ArgumentParser(add_help=False, parents=[acc])
     opt.add_argument("--dykstra-iters", type=int, default=None)
 
     p = argparse.ArgumentParser(
@@ -321,17 +323,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2, help="number of extension sites")
     sp.set_defaults(fn=_cmd_chi_q)
 
-    sp = sub.add_parser("acc-info", parents=[common, opt],
+    sp = sub.add_parser("acc-info", parents=[common, acc],
                         help="accessible information lower bound")
     sp.add_argument("input", help="ensemble JSON file")
     sp.set_defaults(fn=_cmd_acc_info)
 
-    sp = sub.add_parser("fuchs", parents=[common, opt],
+    sp = sub.add_parser("fuchs", parents=[common, acc],
                         help="Holevo quantity minus accessible information")
     sp.add_argument("input", help="ensemble JSON file")
     sp.set_defaults(fn=_cmd_fuchs)
 
-    sp = sub.add_parser("pure-limits", parents=[common, opt],
+    sp = sub.add_parser("pure-limits", parents=[common, acc],
                         help="infinite-copy limits for pure-state ensembles")
     sp.add_argument("input", help="ensemble JSON file")
     sp.set_defaults(fn=_cmd_pure_limits)

@@ -68,6 +68,12 @@ def test_povm_rejects_non_hermitian():
         Povm([bad, np.eye(2) - bad])
 
 
+@pytest.mark.parametrize("elements", [5, None])
+def test_povm_from_json_rejects_malformed_elements(elements):
+    with pytest.raises(InvalidInput):
+        Povm.from_json({"elements": elements})
+
+
 def test_povm_json_round_trip():
     m = helstrom_povm(zero_plus())
     back = Povm.from_json(m.to_json())
@@ -172,6 +178,46 @@ def test_acc_info_monotone_under_channel():
     assert after <= before + 2e-3
 
 
+def trine() -> Ensemble:
+    angles = 2 * np.pi * np.arange(3) / 3
+    kets = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return Ensemble([(1 / 3, DensityMatrix(np.outer(v, v) + 0j)) for v in kets])
+
+
+def seeded_pair(d: int) -> Ensemble:
+    return Ensemble([(0.5, DensityMatrix(random_density_matrix(d, seed=s))) for s in (11, 12)])
+
+
+def extremality_residuals(e: Ensemble, povm: Povm) -> tuple[float, float]:
+    """Holevo's conditions for an information-maximising measurement {M_k}.
+
+    With R_k = sum_i p_i rho_i ln(q_ik / q_k), Lambda = sum_k R_k M_k must be
+    Hermitian and (R_k - Lambda) M_k = 0 for every k.  Returns the spectral
+    norms of Lambda - Lambda^dag and the largest (R_k - Lambda) M_k.
+    """
+    rhos = [s.mat for s in e.states]
+    q = np.array([[np.trace(rho @ m).real for m in povm.elements] for rho in rhos])
+    q_k = e.probs @ q
+    rs = [
+        sum(p * rho * np.log(q[i, k] / q_k[k])
+            for i, (p, rho) in enumerate(zip(e.probs, rhos)) if q[i, k] > 0.0)
+        for k in range(len(povm))
+    ]
+    lam = sum(r @ m for r, m in zip(rs, povm.elements))
+    stationary = max(np.linalg.norm((r - lam) @ m, 2) for r, m in zip(rs, povm.elements))
+    return float(np.linalg.norm(lam - lam.conj().T, 2)), float(stationary)
+
+
+@pytest.mark.parametrize("make", [trine, lambda: seeded_pair(3), lambda: seeded_pair(4)],
+                         ids=["trine", "qutrit-11-12", "d4-11-12"])
+def test_acc_info_returns_an_extremal_measurement(make):
+    e = make()
+    report = accessible_information(e, OptimizerConfig(restarts=4))
+    hermitian, stationary = extremality_residuals(e, report.best_povm)
+    assert hermitian <= 1e-6
+    assert stationary <= 1e-6
+
+
 def test_acc_info_dimension_cap():
     e = Ensemble([(1.0, DensityMatrix(np.eye(5) / 5))])
     with pytest.raises(ResourceLimit):
@@ -230,10 +276,28 @@ def test_pure_limits_reject_mixed_members():
         pure_limit_identities(e, CHEAP)
 
 
+SCIPY_MODULES = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+
+
 def test_import_loads_no_scipy():
-    # scipy is imported on first use by the measurement optimizer, so the
-    # package and every CLI call that does not optimize measurements stay light
-    code = "import sys, ensembleq; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # no module of the package uses scipy, so importing it loads none
+    code = "import sys, ensembleq; " + SCIPY_MODULES
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_acc_info_loads_no_scipy():
+    code = (
+        "import sys; import numpy as np; import ensembleq as eq\n"
+        "angles = 2 * np.pi * np.arange(3) / 3\n"
+        "kets = np.stack([np.cos(angles), np.sin(angles)], axis=1)\n"
+        "e = eq.Ensemble([(1 / 3, eq.DensityMatrix(np.outer(v, v) + 0j)) for v in kets])\n"
+        "eq.accessible_information(e, eq.OptimizerConfig(restarts=2))\n"
+        + SCIPY_MODULES
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )

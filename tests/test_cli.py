@@ -87,9 +87,32 @@ def test_chi_q_optimizer_overrides(capsys, orthogonal_file):
 def test_acc_info_command(capsys, zero_plus_file):
     blob = run_json(capsys, ["acc-info", zero_plus_file, "--restarts", "2"])
     assert blob["value"] == pytest.approx(0.3991, abs=2e-3)
-    # two simplex starts plus the deterministic qubit scan candidate
+    # two ascent starts plus the deterministic qubit scan candidate
     assert blob["restarts_used"] == len(blob["mutual_info_per_restart"]) >= 2
     assert "best_povm" in blob
+
+
+@pytest.fixture()
+def qutrit_pair_file(tmp_path):
+    path = tmp_path / "qutrit_pair.json"
+    states = [DensityMatrix(random_density_matrix(3, seed=s)) for s in (11, 12)]
+    path.write_text(json.dumps(Ensemble([(0.5, s) for s in states]).to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["acc-info", "fuchs", "pure-limits"])
+def test_measurement_commands_reject_dykstra_iters(qutrit_pair_file, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, qutrit_pair_file, "--dykstra-iters", "5"])
+    assert exc.value.code == 2
+
+
+def test_acc_info_max_iters_caps_the_ascent(capsys, qutrit_pair_file):
+    full = run_json(capsys, ["acc-info", qutrit_pair_file, "--restarts", "1"])
+    capped = run_json(
+        capsys, ["acc-info", qutrit_pair_file, "--restarts", "1", "--max-iters", "1"]
+    )
+    assert capped["value"] < full["value"] - 1e-3
 
 
 def test_fuchs_command(capsys, orthogonal_file):
