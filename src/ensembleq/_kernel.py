@@ -3,6 +3,11 @@
 Nothing here validates: callers pass square complex ndarrays that already meet
 each function's contract.  The public, validating forms live in ``densmat``;
 the solver loops in ``extopt`` call these directly.
+
+``hermitize``, ``matrix_function``, ``partial_trace`` and ``site_view`` also
+accept a stack of matrices, shape ``(..., D, D)``, and act on each one; on a
+single matrix they compute exactly what they did before stacks existed, and a
+stacked call gives each member the same bits as its own call.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ SPECTRAL_MAPS = {
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def matrix_function(a: np.ndarray, fn: str, spectrum=None) -> np.ndarray:
@@ -40,7 +45,7 @@ def matrix_function(a: np.ndarray, fn: str, spectrum=None) -> np.ndarray:
     ``spectrum`` passes a ready ``(w, v)`` from ``np.linalg.eigh`` instead.
     """
     w, v = np.linalg.eigh(hermitize(a)) if spectrum is None else spectrum
-    return (v * SPECTRAL_MAPS[fn](w)) @ v.conj().T
+    return (v * SPECTRAL_MAPS[fn](w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def entropy_bits(a: np.ndarray) -> float:
@@ -77,16 +82,18 @@ def kron_power(a: np.ndarray, n: int) -> np.ndarray:
 
 def partial_trace(x: np.ndarray, dims: tuple, keep) -> np.ndarray:
     """Trace out every site not in ``keep``; kept sites stay in order."""
-    t = x.reshape(dims + dims)
+    lead = x.shape[:-2]
+    t = x.reshape(lead + dims + dims)
     for site in reversed(range(len(dims))):
         if site not in keep:
-            t = np.trace(t, axis1=site, axis2=site + t.ndim // 2)
+            axis = len(lead) + site
+            t = np.trace(t, axis1=axis, axis2=axis + (t.ndim - len(lead)) // 2)
     d_keep = math.prod(dims[i] for i in keep)
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def site_view(x: np.ndarray, dims: tuple, site: int) -> np.ndarray:
-    """Writable (L, R, d, d) view of the blocks of ``x`` that I x op x I touches.
+    """Writable (..., L, R, d, d) view of the blocks of ``x`` that I x op x I touches.
 
     Adding ``op`` through it adds op embedded at ``site``.  ``x`` must be
     C-contiguous: reshaping anything else copies, and the writes would be lost.
@@ -95,7 +102,8 @@ def site_view(x: np.ndarray, dims: tuple, site: int) -> np.ndarray:
         raise ValueError("site_view needs a C-contiguous array")
     left, right = math.prod(dims[:site]), math.prod(dims[site + 1:])
     d = dims[site]
-    return np.einsum("iajibj->ijab", x.reshape(left, d, right, left, d, right))
+    return np.einsum("...iajibj->...ijab",
+                     x.reshape(x.shape[:-2] + (left, d, right, left, d, right)))
 
 
 def embed_at_site(op: np.ndarray, dims: tuple, site: int) -> np.ndarray:

@@ -5,6 +5,20 @@ whose every single-site marginal equals that member.  The optimizer is
 projected gradient descent with Armijo backtracking; feasibility is restored
 after each step with Dykstra alternating projections between the PSD cone and
 the affine marginal constraints.
+
+Dykstra stops at the first of three events: the marginal residual reaches its
+stop tolerance, the iteration cap, or a plateau (the residual fell by less
+than a relative PLATEAU_RTOL over the last PLATEAU_WINDOW iterations).  The
+plateau is how a projection ends whose two sets do not meet.  That happens on
+the face-pinned probes of the stationarity certificate: the support face is
+read off a snapped iterate, whose marginals may miss the targets by about
+SNAP_TOL, so the PSD matrices on that face need not contain any point of the
+marginal set.  Dykstra then converges to the gap between the sets (Bauschke
+and Borwein, J. Approx. Theory 79, 418 (1994)) and further iterations change
+nothing.  A plateau above FEAS_TOL still fails the projection.
+
+The entropic warm start runs its relative-entropy projections on all free
+members at once, as one stack of matrices.
 """
 
 from __future__ import annotations
@@ -58,6 +72,10 @@ SNAP_TOL = 1e-9
 SAT_TOL = 1e-9
 #: Cap on entropic warm-start rounds before projected-gradient descent.
 REFINE_ROUNDS = 1500
+#: Dykstra leaves its loop once the marginal residual is at least
+#: (1 - PLATEAU_RTOL) times its value PLATEAU_WINDOW iterations earlier.
+PLATEAU_WINDOW = 10
+PLATEAU_RTOL = 1e-6
 
 __all__ = [
     "DIM_CAP",
@@ -253,36 +271,46 @@ def _snap_small(m: np.ndarray) -> np.ndarray:
     return out * (float(np.trace(m).real) / tr)
 
 
-def _scaling_iproject(log_sigma: np.ndarray, target: np.ndarray,
-                      log_target: np.ndarray, d: int, n: int,
-                      tol: float, sweeps: int,
-                      mult_init: Optional[np.ndarray] = None):
-    """Relative-entropy projection of exp(log_sigma) onto the marginal set.
+def _scaling_iproject(log_sigma: np.ndarray, targets: np.ndarray,
+                      log_targets: np.ndarray, d: int, n: int,
+                      tol: float, sweeps: int, mult_init: np.ndarray):
+    """Relative-entropy projections of exp(log_sigma) onto m members' marginal sets.
 
     Iterative proportional scaling: cycle over sites, multiplying in the
     exponent by the mismatch between the required and the current marginal.
     The running exponent is exact by construction, so only the site marginals
-    need fresh eigendecompositions.  ``mult_init`` warm-starts the accumulated
-    site multipliers (they drift slowly across outer rounds); the final
-    multiplier sum is returned alongside the projection.
+    need fresh eigendecompositions.  All members run as one stack: ``targets``
+    and ``log_targets`` are (m, d, d), ``mult_init`` (m, D, D) warm-starts the
+    accumulated site multipliers (they drift slowly across outer rounds), and
+    the projections and final multiplier sums come back as (m, D, D) stacks.
+    A member whose marginals all lie within ``tol`` at the end of a sweep
+    leaves the stack; each member's result is the one it would get alone.
     """
     dims = (d,) * n
+    E_out = np.empty_like(mult_init)
+    mult_out = np.empty_like(mult_init)
+    live = np.arange(len(mult_init))
     # the multipliers are updated in place, so they must not alias ``mult_init``
-    mult = np.zeros_like(log_sigma) if mult_init is None else mult_init.copy()
+    mult = mult_init.copy()
     L = log_sigma + mult
     E = _k.matrix_function(L, "exp")
     for _ in range(sweeps):
-        worst = 0.0
+        worst = np.zeros(len(live))
         for k in range(n):
-            mk = _marginal(E, d, n, k)
-            worst = max(worst, float(np.linalg.norm(mk - target)))
-            corr = log_target - _k.matrix_function(mk, "log")
+            mk = _k.partial_trace(E, dims, (k,))
+            worst = np.maximum(worst, np.linalg.norm(mk - targets, axis=(-2, -1)))
+            corr = (log_targets - _k.matrix_function(mk, "log"))[:, None, None]
             _k.site_view(mult, dims, k)[...] += corr
             _k.site_view(L, dims, k)[...] += corr
             E = _k.matrix_function(L, "exp")
-        if worst < tol:
+        E_out[live] = E
+        mult_out[live] = mult
+        going = worst >= tol
+        if not going.any():
             break
-    return E, mult
+        live, targets, log_targets = live[going], targets[going], log_targets[going]
+        mult, L, E = mult[going], L[going], E[going]
+    return E_out, mult_out
 
 
 def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray],
@@ -307,7 +335,6 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     Returns the refined extensions and ``deep_check``'s norm at exactly those
     extensions (None if it was not checked there).
     """
-    log_targets = [_k.matrix_function(t, "log") for t in targets]
     # a pure target admits exactly one feasible extension; its block update
     # is that point itself, and exponential-form scaling cannot represent it
     pinned_points = [_pure_target_point(t, n) for t in targets]
@@ -315,7 +342,10 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
         np.array(m, dtype=complex) if pt is None else pt
         for m, pt in zip(starts, pinned_points)
     ]
-    mults: list[Optional[np.ndarray]] = [None] * len(E)
+    free = [i for i, pt in enumerate(pinned_points) if pt is None]
+    free_targets = np.array([targets[i] for i in free], dtype=complex)
+    log_targets = _k.matrix_function(free_targets, "log")
+    mults = np.zeros((len(free), d**n, d**n), dtype=complex)
     prev = chi_objective(E, probs)
     stable = 0
     last_pg = np.inf
@@ -323,19 +353,14 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     for _ in range(rounds):
         sigma = sum(p * m for p, m in zip(probs, E))
         log_sigma = _k.matrix_function(sigma, "log")
-        new = []
-        for i, (t, lt) in enumerate(zip(targets, log_targets)):
-            if pinned_points[i] is not None:
-                new.append(pinned_points[i])
-                continue
-            # a couple of interleaved sweeps per round suffice: the multiplier
-            # warm start keeps each block within a short hop of its optimum
-            Ei, Mi = _scaling_iproject(
-                log_sigma, t, lt, d, n, tol=1e-12, sweeps=2, mult_init=mults[i]
-            )
-            new.append(Ei)
-            mults[i] = Mi
-        E = new
+        # a couple of interleaved sweeps per round suffice: the multiplier
+        # warm start keeps each block within a short hop of its optimum
+        projected, mults = _scaling_iproject(
+            log_sigma, free_targets, log_targets, d, n, tol=1e-12, sweeps=2,
+            mult_init=mults,
+        )
+        for i, Ei in zip(free, projected):
+            E[i] = Ei
         cur = chi_objective(E, probs)
         stable = stable + 1 if abs(prev - cur) < 1e-10 else 0
         prev = cur
@@ -377,7 +402,11 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
 
     With ``face`` (a support projector) the cone is replaced by the PSD
     matrices supported inside the face; the projection onto that set is the
-    eigenvalue clip of the face-compressed matrix.
+    eigenvalue clip of the face-compressed matrix.  A face read off a snapped
+    point can hold no PSD matrix with the target marginals at all; the
+    iterates then converge to the gap between the two sets, and the loop ends
+    on the plateau rule (see the module docstring) instead of running on to
+    ``cfg.dykstra_iters``.  Any end above FEAS_TOL raises NumericalFailure.
     """
     point = _pure_target_point(target, n)
     if point is not None:
@@ -385,19 +414,24 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     y = _k.hermitize(x)
     p = np.zeros_like(y)
     q = np.zeros_like(y)
-    for _ in range(cfg.dykstra_iters):
+    resids = []
+    for it in range(cfg.dykstra_iters):
         a = _project_affine(y + p, target, d, n)
         p = y + p - a
         b = a + q if face is None else face @ (a + q) @ face
         y = _project_psd(b)
         q = a + q - y
-        if _marginal_residual([y], [target], d, n) <= stop_tol:
+        resid = _marginal_residual([y], [target], d, n)
+        if resid <= stop_tol:
             return y
-    resid = _marginal_residual([y], [target], d, n)
+        resids.append(resid)
+        if (it >= PLATEAU_WINDOW
+                and resid >= (1.0 - PLATEAU_RTOL) * resids[it - PLATEAU_WINDOW]):
+            break
     if resid > FEAS_TOL:
         raise NumericalFailure(
             f"Dykstra projection stalled at marginal residual {resid:.3e} "
-            f"after {cfg.dykstra_iters} iterations"
+            f"after {it + 1} iterations"
         )
     return y
 

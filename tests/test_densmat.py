@@ -331,6 +331,27 @@ def test_wrappers_match_kernel():
         assert np.array_equal(tensor(tensor(rho, rho), rho), _kernel.kron_power(rho, 3))
 
 
+def test_kernel_stacks_match_single_matrices():
+    # each member of a stacked call gets the bits of its own 2-D call
+    dims = (2, 3)
+    stack = np.array([random_density_matrix(6, seed=90 + s) for s in range(3)])
+    ops = np.array([random_hermitian(3, seed=95 + s) for s in range(3)])
+    skew = stack + 1j * np.array([random_hermitian(6, seed=99 + s) for s in range(3)])
+    views = stack.copy()
+    _kernel.site_view(views, dims, 1)[...] += ops[:, None, None]
+    for i, rho in enumerate(stack):
+        assert np.array_equal(_kernel.hermitize(skew)[i], _kernel.hermitize(skew[i]))
+        for fn in ("log", "exp", "sqrt"):
+            assert np.array_equal(_kernel.matrix_function(stack, fn)[i],
+                                  _kernel.matrix_function(rho, fn))
+        for keep in ((0,), (1,), (0, 1)):
+            assert np.array_equal(_kernel.partial_trace(stack, dims, keep)[i],
+                                  _kernel.partial_trace(rho, dims, keep))
+        single = rho.copy()
+        _kernel.site_view(single, dims, 1)[...] += ops[i]
+        assert np.array_equal(views[i], single)
+
+
 # ---------------------------------------------------------------------------
 # matrix functions
 # ---------------------------------------------------------------------------

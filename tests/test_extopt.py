@@ -5,7 +5,13 @@ import pytest
 
 from ensembleq.densmat import DensityMatrix, partial_trace, von_neumann_entropy
 from ensembleq.ensemble import Ensemble, classical_broadcast, holevo
-from ensembleq.errors import InvalidInput, PreconditionViolated, ResourceLimit
+from ensembleq import _kernel, extopt
+from ensembleq.errors import (
+    InvalidInput,
+    NumericalFailure,
+    PreconditionViolated,
+    ResourceLimit,
+)
 from ensembleq.extopt import (
     FEAS_TOL,
     STALL_TOL,
@@ -19,14 +25,21 @@ from ensembleq.extopt import (
     chi_q,
     chi_q_infinite_pure,
     fidelity_q,
+    _dykstra,
     _marginal,
+    _marginal_residual,
     _project_affine,
+    _project_psd,
+    _pure_target_point,
+    _scaling_iproject,
     project_feasible,
 )
 from ensembleq.rand import (
     random_commuting_states,
     random_density_matrix,
     random_hermitian,
+    random_pure_state,
+    random_unitary,
     rng_from,
 )
 
@@ -51,6 +64,13 @@ def hard_pair() -> Ensemble:
     a = DensityMatrix(random_density_matrix(2, seed=21))
     b = DensityMatrix(random_density_matrix(2, seed=22))
     return Ensemble([(0.5, a), (0.5, b)])
+
+
+def seed_pair() -> Ensemble:
+    """The uniform qubit pair drawn with seeds 11 and 12."""
+    return Ensemble(
+        [(0.5, DensityMatrix(random_density_matrix(2, seed=s))) for s in (11, 12)]
+    )
 
 
 def commuting_ensemble(seed: int, dim: int = 2, count: int = 2) -> Ensemble:
@@ -163,6 +183,124 @@ def test_project_feasible_pure_target_gives_product():
 def test_project_feasible_rejects_shape_mismatch():
     with pytest.raises(InvalidInput):
         project_feasible(np.eye(2) / 2, KET0, 2)
+
+
+def _count_affine_projections(monkeypatch) -> list:
+    """Record one entry per _project_affine call, i.e. per Dykstra iteration."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _project_affine(*args)
+
+    monkeypatch.setattr(extopt, "_project_affine", counted)
+    return calls
+
+
+def test_dykstra_fails_fast_when_the_face_cannot_hold_the_target(monkeypatch):
+    # PSD matrices on the |00> face have pure marginals, so they never meet a
+    # mixed target's marginal set: the residual plateaus far above FEAS_TOL
+    target = np.diag([0.7, 0.3]).astype(complex)
+    face = np.zeros((4, 4), dtype=complex)
+    face[0, 0] = 1.0
+    calls = _count_affine_projections(monkeypatch)
+    with pytest.raises(NumericalFailure):
+        _dykstra(_power(target, 2), target, 2, 2, OptimizerConfig(), face=face)
+    assert len(calls) <= 30
+
+
+def test_dykstra_plateau_stop_matches_the_full_loop(monkeypatch):
+    # capture the face-pinned certificate probes chi_q makes on the pair
+    probes = []
+
+    def recording(x, target, d, n, cfg, stop_tol=1e-9, face=None):
+        if face is not None:
+            probes.append((x.copy(), target.copy(), face.copy()))
+        return _dykstra(x, target, d, n, cfg, stop_tol, face)
+
+    monkeypatch.setattr(extopt, "_dykstra", recording)
+    chi_q(seed_pair(), 2)
+    monkeypatch.undo()
+    assert probes
+    for x, target, face in probes:
+        # the Dykstra recursion run for 500 iterations with no stop rule
+        ref = _kernel.hermitize(x)
+        p = np.zeros_like(ref)
+        q = np.zeros_like(ref)
+        for _ in range(500):
+            a = _project_affine(ref + p, target, 2, 2)
+            p = ref + p - a
+            ref = _project_psd(face @ (a + q) @ face)
+            q = a + q - ref
+        # the face misses the marginal set by a rounding-scale gap: the full
+        # loop never meets the 1e-9 stop test, and ends feasible all the same
+        assert 1e-9 < _marginal_residual([ref], [target], 2, 2) <= FEAS_TOL
+        calls = _count_affine_projections(monkeypatch)
+        y = _dykstra(x, target, 2, 2, OptimizerConfig(), face=face)
+        monkeypatch.undo()
+        assert len(calls) < 100
+        assert np.linalg.norm(y - ref) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# entropic warm start
+# ---------------------------------------------------------------------------
+
+def test_scaling_iproject_stack_matches_each_member_alone(monkeypatch):
+    targets = np.array([random_density_matrix(2, seed=s) for s in (31, 32, 33)])
+    log_targets = _kernel.matrix_function(targets, "log")
+    log_sigma = _kernel.matrix_function(random_density_matrix(8, seed=34), "log")
+    zero = np.zeros((3, 8, 8), dtype=complex)
+    _, converged = _scaling_iproject(log_sigma, targets, log_targets, 2, 3, 0.0, 200, zero)
+    _, partial = _scaling_iproject(log_sigma, targets, log_targets, 2, 3, 0.0, 10, zero)
+    # member 0 starts converged, member 1 part of the way, member 2 cold
+    mult = np.array([converged[0], partial[1], zero[2]])
+    stack_sizes = []
+    partial_trace_of = _kernel.partial_trace
+
+    def recording(x, dims, keep):
+        stack_sizes.append(len(x))
+        return partial_trace_of(x, dims, keep)
+
+    monkeypatch.setattr(_kernel, "partial_trace", recording)
+    E, M = _scaling_iproject(log_sigma, targets, log_targets, 2, 3, 1e-8, 25, mult)
+    monkeypatch.undo()
+    # one marginal per site and sweep: 1 sweep with all three members, then
+    # the other two until member 1 stops, then member 2 alone up to the cap
+    per_sweep = stack_sizes[::3]
+    assert per_sweep[:2] == [3, 2] and per_sweep[-1] == 1 and len(per_sweep) == 25
+    for i in range(3):
+        Ei, Mi = _scaling_iproject(log_sigma, targets[i:i + 1], log_targets[i:i + 1],
+                                   2, 3, 1e-8, 25, mult[i:i + 1])
+        assert np.array_equal(Ei[0], E[i]) and np.array_equal(Mi[0], M[i])
+
+
+def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
+    psi = random_pure_state(2, seed=41)
+    states = [np.outer(psi, psi.conj()), random_density_matrix(2, seed=42),
+              random_density_matrix(2, seed=43)]
+    e = Ensemble([(p, DensityMatrix(s)) for p, s in zip((0.3, 0.3, 0.4), states)])
+    refined, stacks = [], []
+    refine, iproject = extopt._entropic_refine, extopt._scaling_iproject
+
+    def recording_refine(*args, **kwargs):
+        out = refine(*args, **kwargs)
+        refined.append(out[0])
+        return out
+
+    def recording_iproject(log_sigma, targets, *args, **kwargs):
+        stacks.append(targets.shape)
+        return iproject(log_sigma, targets, *args, **kwargs)
+
+    monkeypatch.setattr(extopt, "_entropic_refine", recording_refine)
+    monkeypatch.setattr(extopt, "_scaling_iproject", recording_iproject)
+    r = chi_q(e, 2)
+    # one stack holding the two mixed members, never the pure one
+    assert refined and set(stacks) == {(2, 2, 2)}
+    point = _pure_target_point(states[0], 2)
+    for extensions in refined:
+        assert np.array_equal(extensions[0], point)
+    assert r.converged and r.feasibility_residual <= FEAS_TOL and r.value > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +460,21 @@ def test_chi_q_values_increase_with_sites_on_mixed_pair():
     r2 = chi_q(e, 2)
     r3 = chi_q(e, 3)
     assert r3.value >= r2.value - 1e-4
+
+
+@pytest.mark.parametrize("draw", range(3))
+def test_chi_q_invariant_under_local_unitaries_and_member_order(draw):
+    # a common local unitary maps feasible extension sets onto each other
+    # (U^{(x)n} on every member) and reordering members permutes the terms
+    # of the Holevo objective, so neither can move the optimum
+    e = seed_pair()
+    base = chi_q(e, 2)
+    u = random_unitary(2, seed=300 + draw)
+    turned = [DensityMatrix(u @ s.mat @ u.conj().T) for s in e.states]
+    for members in (zip(e.probs, turned), reversed(list(zip(e.probs, turned)))):
+        r = chi_q(Ensemble(list(members)), 2)
+        assert r.value == pytest.approx(base.value, abs=1e-9)
+        assert r.converged == base.converged
 
 
 # ---------------------------------------------------------------------------
