@@ -299,12 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="write to this path atomically instead of stdout")
 
-    # the measurement optimizer has no Dykstra projections
-    acc = argparse.ArgumentParser(add_help=False)
+    # each command takes the flags of the solvers it runs: restarts for the
+    # non-convex measurement ascent only, step caps for that ascent and
+    # fidelity_q's descent, Dykstra caps for the extension solvers
+    iters = argparse.ArgumentParser(add_help=False)
+    iters.add_argument("--max-iters", type=int, default=None)
+    acc = argparse.ArgumentParser(add_help=False, parents=[iters])
     acc.add_argument("--restarts", type=int, default=None)
-    acc.add_argument("--max-iters", type=int, default=None)
-    opt = argparse.ArgumentParser(add_help=False, parents=[acc])
-    opt.add_argument("--dykstra-iters", type=int, default=None)
+    dykstra = argparse.ArgumentParser(add_help=False)
+    dykstra.add_argument("--dykstra-iters", type=int, default=None)
 
     p = argparse.ArgumentParser(
         prog="ensembleq",
@@ -317,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="ensemble JSON file")
     sp.set_defaults(fn=_cmd_holevo)
 
-    sp = sub.add_parser("chi-q", parents=[common, opt],
+    sp = sub.add_parser("chi-q", parents=[common, dykstra],
                         help="broadcast-extension quantumness chi_q^(n)")
     sp.add_argument("input", help="ensemble JSON file")
     sp.add_argument("--n", type=int, default=2, help="number of extension sites")
@@ -352,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON file with rho1, rho2, sigma1, sigma2 matrices")
     sp.set_defaults(fn=_cmd_au_check)
 
-    sp = sub.add_parser("sweep-example", parents=[common, opt],
+    sp = sub.add_parser("sweep-example", parents=[common, iters, dykstra],
                         help="sweep the orthogonal-pair example over a")
     sp.add_argument("--a-min", type=float, default=0.0)
     sp.add_argument("--a-max", type=float, default=0.5)

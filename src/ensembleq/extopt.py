@@ -1,10 +1,18 @@
 """Minimization of information monotones over constrained broadcast extensions.
 
 The feasible set for each ensemble member is the convex body of n-site states
-whose every single-site marginal equals that member.  The optimizer is
-projected gradient descent with Armijo backtracking; feasibility is restored
-after each step with Dykstra alternating projections between the PSD cone and
-the affine marginal constraints.
+whose every single-site marginal equals that member.  Both objectives are
+convex on it, and each has its own local solver, run from each base start:
+
+* chi_q: the entropic refine, an alternating minimization in the matrix-log
+  geometry, then its certificate (the projected-gradient mapping norm, plus a
+  kernel-alignment test and an interior-escape blend on a boundary face).  An
+  uncertified point is reported without further descent.  A point that misses
+  the marginal set is first projected back onto it with Dykstra's projections;
+  its certificate survives only if that leaves chi in place.
+* fidelity_q: projected gradient descent with Armijo backtracking; feasibility
+  is restored after each step with Dykstra alternating projections between
+  the PSD cone and the affine marginal constraints.
 
 Dykstra stops at the first of three events: the marginal residual reaches its
 stop tolerance, the iteration cap, or a plateau (the residual fell by less
@@ -17,13 +25,14 @@ marginal set.  Dykstra then converges to the gap between the sets (Bauschke
 and Borwein, J. Approx. Theory 79, 418 (1994)) and further iterations change
 nothing.  A plateau above FEAS_TOL still fails the projection.
 
-The entropic warm start runs its relative-entropy projections on all free
+The entropic refine runs its relative-entropy projections on all free
 members at once, as one stack of matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -70,7 +79,7 @@ SNAP_TOL = 1e-9
 # outright (feasible values are upper bounds, so the optimality gap is bounded
 # by the distance to the bound itself).
 SAT_TOL = 1e-9
-#: Cap on entropic warm-start rounds before projected-gradient descent.
+#: Cap on the rounds of chi_q's entropic refine.
 REFINE_ROUNDS = 1500
 #: Dykstra leaves its loop once the marginal residual is at least
 #: (1 - PLATEAU_RTOL) times its value PLATEAU_WINDOW iterations earlier.
@@ -94,7 +103,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the projected-gradient optimizers."""
+    """Solver knobs, each read only by the solvers named here.
+
+    ``max_iters`` caps fidelity_q's descent steps and each
+    accessible_information ascent start; ``dykstra_iters`` caps every Dykstra
+    projection (project_feasible, both certificates, fidelity_q's line
+    search); ``restarts`` and ``seed`` are read by accessible_information
+    only, the one non-convex solver.
+    """
 
     max_iters: int = 2000
     dykstra_iters: int = 500
@@ -161,7 +177,13 @@ class ExtensionSet:
 
 @dataclass(frozen=True)
 class QuantumnessReport:
-    """Result of one quantumness optimization."""
+    """Result of one quantumness optimization.
+
+    ``iterations`` is 0 for a closed form or a saturated start, 1 for a point
+    certified on arrival, otherwise the number of descent steps (chi_q takes
+    none: it reports 1, certified or not).  ``restart_values`` holds the
+    objective reached from each base start tried.
+    """
 
     value: float
     objective_at_optimum: float
@@ -173,7 +195,8 @@ class QuantumnessReport:
 
     def __post_init__(self):
         object.__setattr__(self, "restart_values", tuple(self.restart_values))
-        if abs(self.value - (self.objective_at_optimum - self.baseline)) > 1e-9:
+        # written so that a NaN anywhere in the three fails it
+        if not abs(self.value - (self.objective_at_optimum - self.baseline)) <= 1e-9:
             raise NumericalFailure(
                 "inconsistent report: value must equal objective - baseline"
             )
@@ -211,6 +234,10 @@ class QuantumnessReport:
                 )
             except KeyError as exc:
                 raise InvalidInput(f"report JSON missing key {exc.args[0]!r}") from exc
+            except NumericalFailure as exc:
+                # the consistency checks guard the solver's own reports; on
+                # decoded JSON their failure is a fault of the input
+                raise InvalidInput(f"inconsistent report JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +342,8 @@ def _scaling_iproject(log_sigma: np.ndarray, targets: np.ndarray,
 
 def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                      probs: np.ndarray, d: int, n: int,
-                     rounds: int, deep_check=None):
-    """Alternating-minimization warm start for the extension-chi objective.
+                     certificate: Callable[[list[np.ndarray]], float]):
+    """Alternating minimization of the extension-chi objective.
 
     Alternates the two closed-form block minimizations of
     sum_i p_i D(E_i || sigma): the optimal sigma is the weighted average, and
@@ -326,14 +353,15 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     sublinear crawl of Euclidean steps, and every iterate stays feasible up
     to the scaling tolerance.
 
-    ``deep_check(E) -> float`` (a stationarity-certificate norm) is consulted
-    once the objective stabilizes.  Near boundary minimizers the objective
-    flattens out many rounds before the iterate settles, so the stop rule
-    watches the certificate, not the objective: refinement continues while the
-    certificate keeps contracting, and hands over once it passes or stalls.
+    ``certificate(E) -> float`` (a stationarity-certificate norm) is
+    consulted once the objective stabilizes.  Near boundary minimizers the
+    objective flattens out many rounds before the iterate settles, so the stop
+    rule watches the certificate, not the objective: refinement continues
+    while the certificate keeps contracting, and stops once it passes or
+    stalls, or after REFINE_ROUNDS rounds.
 
-    Returns the refined extensions and ``deep_check``'s norm at exactly those
-    extensions (None if it was not checked there).
+    Returns the refined extensions and the certificate norm at exactly those
+    extensions.
     """
     # a pure target admits exactly one feasible extension; its block update
     # is that point itself, and exponential-form scaling cannot represent it
@@ -350,7 +378,7 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     stable = 0
     last_pg = np.inf
     since_check = 0
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         sigma = sum(p * m for p, m in zip(probs, E))
         log_sigma = _k.matrix_function(sigma, "log")
         # a couple of interleaved sweeps per round suffice: the multiplier
@@ -366,18 +394,16 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
         prev = cur
         since_check += 1
         if stable >= 3:
-            if deep_check is None:
-                break
             # space the checks out so the measured contraction ratio reflects
             # a meaningful number of rounds rather than round-to-round noise
             if since_check < 25 and np.isfinite(last_pg):
                 continue
-            pg = deep_check(E)
+            pg = certificate(E)
             since_check = 0
             if pg <= 0.5 * PG_TOL or pg > 0.9 * last_pg:
-                return E, pg  # certified, or stalled: hand over to descent
+                return E, pg  # certified, or stalled
             last_pg = pg
-    return E, None
+    return E, certificate(E)
 
 
 def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
@@ -503,20 +529,19 @@ def _fidelity_mono_gradient(a: np.ndarray, b: np.ndarray,
 
 
 class _Objective(NamedTuple):
-    """A monotone minimized over joint extension sets.
+    """A monotone minimized over joint extension sets, with its local solver.
 
-    ``probs`` marks the entropic (Holevo) objective.  It switches on the
-    entropic warm start and the boundary-face check of the descent, which
-    rely on that objective's matrix-log geometry.
+    ``local(x0, targets, obj, d, n, cfg)`` runs from one snapped feasible
+    start and returns ``(x, fx, iterations, converged)``.
     """
 
     value: Callable[[list[np.ndarray]], float]
     gradient: Callable[[list[np.ndarray]], list[np.ndarray]]
-    probs: Optional[np.ndarray] = None
+    local: Callable[..., tuple]
 
 
 # ---------------------------------------------------------------------------
-# projected-gradient driver
+# local solvers and the shared driver
 # ---------------------------------------------------------------------------
 
 def _classical_copy(rho: np.ndarray, n: int) -> np.ndarray:
@@ -591,66 +616,31 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
 
 
 def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-             obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
-             pg_first: Optional[float] = None):
-    """Projected gradient descent with Armijo backtracking.
+             obj: _Objective, d: int, n: int, cfg: OptimizerConfig):
+    """fidelity_q's local solver: projected gradient descent with Armijo backtracking.
 
     Returns ``(x, fx, iterations, converged)`` where ``converged`` certifies a
-    projected-gradient-mapping norm at most PG_TOL.  For the entropic
-    objective, an interior escape probe must additionally confirm any
-    boundary-face point before it is certified.  ``pg_first``, the mapping
-    norm if already known at ``x0``, spares the first iteration its probe.
+    projected-gradient-mapping norm at most PG_TOL.
     """
-    f, grad, probs = obj
-
-    def project_all(xs):
-        return [_snap_small(_dykstra(x, t, d, n, cfg)) for x, t in zip(xs, targets)]
-
-    # members with a pure target sit on a singleton feasible set: they carry
-    # no descent directions and are exempt from kernel-alignment certification
-    pinned = [_k.is_pure(t) for t in targets]
-    x = [_snap_small(np.array(e, dtype=complex)) for e in x0]
+    f, grad = obj.value, obj.gradient
+    x = list(x0)
     fx = f(x)
     step = STEP_INIT
     stall = 0
     pg_norm = np.inf
     for iters in range(1, cfg.max_iters + 1):
         g = grad(x)
-        pg_norm = (pg_first if iters == 1 and pg_first is not None
-                   else _pg_mapping_norm(x, g, targets, d, n, cfg))
+        pg_norm = _pg_mapping_norm(x, g, targets, d, n, cfg)
         if pg_norm <= PG_TOL:
-            on_face = any(
-                float(np.linalg.eigvalsh(_k.hermitize(xi))[0]) < SNAP_TOL for xi in x
-            )
-            certify = True
-            if on_face and probs is not None:
-                # a rank-deficient optimum must have every member kernel equal
-                # to the average's kernel (a mismatched kernel admits descent
-                # with unbounded slope, which the floored gradient cannot see),
-                # and blending toward the interior must not decrease f
-                if not _kernels_aligned(x, probs, pinned=pinned):
-                    certify = False
-                else:
-                    # a genuinely wrong face shows an O(blend) decrease here;
-                    # anything at the certificate's own gap scale is noise
-                    esc = [
-                        (1.0 - 1e-3) * xi + 1e-3 * _interior_start(t, n)
-                        for xi, t in zip(x, targets)
-                    ]
-                    fe = f(esc)
-                    if fe < fx - 1e-7:
-                        x, fx, step = esc, fe, STEP_INIT
-                        stall = 0
-                        continue
-            if certify:
-                return x, fx, iters, True
+            return x, fx, iters, True
         gnorm = float(np.sqrt(sum(np.linalg.norm(gi) ** 2 for gi in g)))
         s = min(STEP_INIT, step / STEP_SHRINK, TRIAL_RADIUS / gnorm)
         start_s = s
         accepted = False
         while s >= 1e-13:
             try:
-                trial = project_all([xi - s * gi for xi, gi in zip(x, g)])
+                trial = [_snap_small(_dykstra(xi - s * gi, t, d, n, cfg))
+                         for xi, gi, t in zip(x, g, targets)]
             except NumericalFailure:
                 # trial too far from the feasible set to project; back off
                 s *= STEP_SHRINK
@@ -680,104 +670,109 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
     return x, fx, iters, pg_norm <= PG_TOL
 
 
-def _kernels_aligned(x: Sequence[np.ndarray], probs: np.ndarray,
-                     tol: float = 1e-4,
-                     pinned: Optional[Sequence[bool]] = None) -> bool:
-    """True when every free member's support projector matches the average's.
+def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
+                        obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
+                        probs: np.ndarray):
+    """chi_q's local solver: the entropic refine, then its certificate.
 
-    A rank mismatch puts the projector distance at 1 or more, while kernels
-    still locking into place near a certified point differ by angles at the
-    certificate scale, so the tolerance separates the two regimes cleanly.
-    Members flagged ``pinned`` (singleton feasible sets) have no descent
-    directions and are skipped.
+    The certificate is the projected-gradient mapping norm at the snapped
+    refined point, plus _chi_face_check.  No descent step follows.  A point
+    that misses the marginals by more than FEAS_TOL is replaced by its Dykstra
+    projection, which keeps the certificate only if chi moves by at most
+    SAT_TOL, or by the uncertified start if the projection fails; every
+    reported value is attained at a feasible point.
     """
-    sigma = sum(p * m for p, m in zip(probs, x))
-    ps = _support_projector(sigma)
+    def certificate(es):
+        snapped = [_snap_small(e) for e in es]
+        return _pg_mapping_norm(snapped, obj.gradient(snapped), targets, d, n, cfg)
+
+    E, pg = _entropic_refine(x0, targets, probs, d, n, certificate)
+    x = [_snap_small(e) for e in E]
+    fx = obj.value(x)
+    conv = pg <= PG_TOL
+    if conv:
+        x, fx, conv = _chi_face_check(x, fx, probs, targets, n)
+    if _marginal_residual(x, targets, d, n) > FEAS_TOL:
+        # the refine's last scaling round can end a little off the marginal
+        # set, and a refine that cycles can end far from it
+        try:
+            y = [_snap_small(_dykstra(xi, t, d, n, cfg)) for xi, t in zip(x, targets)]
+        except NumericalFailure:
+            return list(x0), obj.value(x0), 1, False
+        fy = obj.value(y)
+        x, fx, conv = y, fy, conv and abs(fy - fx) <= SAT_TOL
+    return x, fx, 1, conv
+
+
+def _chi_face_check(x: Sequence[np.ndarray], fx: float, probs: np.ndarray,
+                    targets: Sequence[np.ndarray], n: int):
+    """Face test of a chi point whose mapping norm passed: ``(x, fx, certified)``.
+
+    Interior points are certified.  On a boundary face every member not
+    pinned by a pure target must share the average's support (a mismatched
+    kernel admits descent with unbounded slope, which the floored gradient
+    cannot see), and a small blend toward the interior must not lower chi; a
+    blend that does is returned in place of ``x``, uncertified.
+    """
+    if all(float(np.linalg.eigvalsh(_k.hermitize(xi))[0]) >= SNAP_TOL for xi in x):
+        return x, fx, True
     eye = np.eye(x[0].shape[0])
-    ps_mat = eye if ps is None else ps
-    for idx, xi in enumerate(x):
-        if pinned is not None and pinned[idx]:
+    ps = _support_projector(sum(p * m for p, m in zip(probs, x)))
+    ps = eye if ps is None else ps
+    for xi, t in zip(x, targets):
+        if _k.is_pure(t):
             continue
         pi = _support_projector(xi)
-        pi_mat = eye if pi is None else pi
-        if float(np.linalg.norm(pi_mat - ps_mat)) > tol:
-            return False
-    return True
+        # a rank mismatch puts this at 1 or more; kernels still locking into
+        # place near a certified point differ by angles at the certificate scale
+        if float(np.linalg.norm((eye if pi is None else pi) - ps)) > 1e-4:
+            return x, fx, False
+    # a genuinely wrong face shows an O(blend) decrease; anything at the
+    # certificate's own gap scale is noise
+    esc = [(1.0 - 1e-3) * xi + 1e-3 * _interior_start(t, n) for xi, t in zip(x, targets)]
+    f_esc = chi_objective(esc, probs)
+    if f_esc < fx - 1e-7:
+        return esc, f_esc, False
+    return x, fx, True
 
 
-def _run_restarts(targets: list[np.ndarray], base_starts: list[list[np.ndarray]],
-                  obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
-                  floor_bound: float):
-    """Deterministic multistart: seeded feasible perturbations of the first start.
+def _run_starts(targets: list[np.ndarray], starts: list[list[np.ndarray]],
+                obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
+                floor_bound: float):
+    """Run the objective's local solver from each base start until one certifies.
 
-    ``floor_bound`` is a proven lower bound on the objective over the feasible
-    set (the base value under a monotone map).  Any iterate within SAT_TOL of
-    it is globally optimal regardless of gradient certificates, which is the
-    only reliable test at singular points where floored logarithms make the
-    projected-gradient probe meaningless.
+    Both objectives are convex, so a certified point is the global optimum.
+    ``floor_bound`` is a proven lower bound on the objective (the base value
+    under a monotone map): any point within SAT_TOL of it is optimal too,
+    the only reliable test at singular points where floored logarithms make
+    the projected-gradient probe meaningless.
     """
-    from .rand import random_hermitian, rng_from
-
-    big = d**n
-
-    def perturbed_start(idx: int) -> list[np.ndarray]:
-        rng = rng_from(cfg.seed + idx)
-        scale = 0.2
-        # thin feasible sets (near-singular targets) slow the projection's
-        # tail; shrinking the perturbation keeps the start projectable
-        for _ in range(4):
-            try:
-                return [
-                    _dykstra(m + random_hermitian(big, rng, scale=scale), t, d, n, cfg)
-                    for m, t in zip(base_starts[0], targets)
-                ]
-            except NumericalFailure:
-                scale *= 0.25
-        return [np.array(m, copy=True) for m in base_starts[0]]
-
-    def start_iter():
-        yield from base_starts[: cfg.restarts]
-        for idx in range(len(base_starts), cfg.restarts):
-            yield perturbed_start(idx)
-
     def saturated(val: float) -> bool:
         # values more than 1e-7 below the proven floor signal broken numerics
         # and must not be certified (they fail the report's sanity checks)
         return floor_bound - 1e-7 <= val <= floor_bound + SAT_TOL
 
-    def deep_check(es):
-        snapped = [_snap_small(e) for e in es]
-        return _pg_mapping_norm(snapped, obj.gradient(snapped), targets, d, n, cfg)
-
     best = None
-    restart_values = []
-    for xs in start_iter():
+    start_values = []
+    for xs in starts:
         snapped = [_snap_small(np.array(e, dtype=complex)) for e in xs]
         f0 = obj.value(snapped)
         if saturated(f0):
             f0 = max(f0, floor_bound)  # dips below a proven floor are rounding
-            restart_values.append(f0)
-            return (snapped, f0, 0, True), restart_values
-        pg_first = None
-        if obj.probs is not None:
-            xs, pg_first = _entropic_refine(
-                snapped, targets, obj.probs, d, n,
-                rounds=REFINE_ROUNDS, deep_check=deep_check,
-            )
-        x, fx, iters, conv = _descend(xs, targets, obj, d, n, cfg, pg_first)
+            start_values.append(f0)
+            return (snapped, f0, 0, True), start_values
+        x, fx, iters, conv = obj.local(snapped, targets, obj, d, n, cfg)
         if saturated(fx):
             fx = max(fx, floor_bound)
             conv = True
-        restart_values.append(fx)
+        start_values.append(fx)
         if best is None or fx < best[1] - 1e-15:
             best = (x, fx, iters, conv)
         if conv:
-            # the objective is convex over the feasible set, so a certified
-            # stationary point is the global optimum: later restarts are moot
-            # (an earlier lower-but-uncertified iterate inherits the flag, as
-            # it sits between the certified point and the optimum)
-            return best[:3] + (True,), restart_values
-    return best, restart_values
+            # an earlier lower-but-uncertified iterate inherits the flag, as
+            # it sits between the certified point and the optimum
+            return best[:3] + (True,), start_values
+    return best, start_values
 
 
 def _optimize_extensions(e: Ensemble, n: int, cfg: OptimizerConfig,
@@ -807,7 +802,7 @@ def _optimize_extensions(e: Ensemble, n: int, cfg: OptimizerConfig,
         if is_broadcastable(e):
             base_starts.append([ext.mat for ext in classical_broadcast(e, n).extensions])
         base_starts.append([_interior_start(t, n) for t in targets])
-        (x, fx, iters, conv), restart_values = _run_restarts(
+        (x, fx, iters, conv), restart_values = _run_starts(
             targets, base_starts, obj, d, n, cfg, floor_bound=baseline
         )
     return QuantumnessReport(
@@ -831,7 +826,8 @@ def chi_q(e: Ensemble, n: int, cfg: Optional[OptimizerConfig] = None) -> Quantum
     """
     probs = e.probs
     obj = _Objective(
-        lambda xs: chi_objective(xs, probs), lambda xs: chi_gradient(xs, probs), probs
+        lambda xs: chi_objective(xs, probs), lambda xs: chi_gradient(xs, probs),
+        partial(_refine_and_certify, probs=probs),
     )
     return _optimize_extensions(e, n, cfg or OptimizerConfig(), obj, holevo(e))
 
@@ -855,6 +851,7 @@ def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     obj = _Objective(
         lambda xs: _fidelity_mono_objective(xs[0], xs[1], convention),
         lambda xs: _fidelity_mono_gradient(xs[0], xs[1], convention),
+        _descend,
     )
     baseline = _fidelity_mono_objective(rho.mat, sigma.mat, convention)
     pair = Ensemble([(0.5, rho), (0.5, sigma)])

@@ -79,9 +79,24 @@ def test_chi_q_command(capsys, zero_plus_file):
 def test_chi_q_optimizer_overrides(capsys, orthogonal_file):
     blob = run_json(
         capsys,
-        ["chi-q", orthogonal_file, "--n", "2", "--restarts", "1", "--max-iters", "50"],
+        ["chi-q", orthogonal_file, "--n", "2", "--dykstra-iters", "50"],
     )
     assert blob["value"] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi-q", "{file}", "--restarts", "1"],
+        ["chi-q", "{file}", "--max-iters", "50"],
+        ["sweep-example", "--restarts", "1"],
+    ],
+)
+def test_extension_commands_reject_restart_flags(orthogonal_file, argv):
+    # chi_q and fidelity_q are convex and run from their base starts only
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(file=orthogonal_file) for a in argv])
+    assert exc.value.code == 2
 
 
 def test_acc_info_command(capsys, zero_plus_file):

@@ -417,9 +417,83 @@ def test_chi_q_report_json_round_trip():
     back = QuantumnessReport.from_json(blob)
     assert back.value == pytest.approx(report.value, abs=1e-15)
     assert back.converged == report.converged
-    for key, bad in (("iterations", "many"), ("restarts", None)):
+    below = {"value": -1e-3, "objective": blob["baseline"] - 1e-3}
+    for bad in ({"iterations": "many"}, {"restarts": None},
+                {"value": blob["value"] + 1e-3}, below, {"value": float("nan")}):
         with pytest.raises(InvalidInput):
-            QuantumnessReport.from_json({**blob, key: bad})
+            QuantumnessReport.from_json({**blob, **bad})
+
+
+def test_chi_q_takes_no_descent_step(monkeypatch):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("chi_q entered the Euclidean descent")
+
+    monkeypatch.setattr(extopt, "_descend", no_descent)
+    r = chi_q(seed_pair(), 2)
+    assert r.converged and r.iterations == 1 and len(r.restart_values) == 1
+
+
+def test_chi_face_check_refuses_misaligned_kernels():
+    # each member's classical copy is feasible but rank-deficient, and its
+    # kernel differs from the average's, so the face check must refuse it
+    e = seed_pair()
+    targets = [s.mat for s in e.states]
+    x = [extopt._classical_copy(t, 2) for t in targets]
+    assert _marginal_residual(x, targets, 2, 2) <= 1e-14
+    assert all(np.linalg.eigvalsh(xi)[0] < extopt.SNAP_TOL for xi in x)
+    # no interior blend undercuts an objective of -inf, so only the kernel
+    # test can refuse here
+    assert extopt._chi_face_check(x, -np.inf, e.probs, targets, 2)[1:] == (-np.inf, False)
+    fx = chi_objective(x, e.probs)
+    assert not extopt._chi_face_check(x, fx, e.probs, targets, 2)[2]
+
+
+def test_chi_q_certified_point_is_feasible_at_three_sites():
+    # the refine's last two-sweep scaling round leaves this optimum 1.3e-7
+    # off the marginal set; its projection moves chi by about 1e-10
+    r = chi_q(seed_pair(), 3)
+    assert r.converged and r.feasibility_residual <= FEAS_TOL
+
+
+def test_chi_face_check_returns_a_lower_interior_blend():
+    # the classical broadcast of a commuting pair is optimal on a face whose
+    # kernels align; told a value above its true chi, the check must hand
+    # back the feasible interior blend that undercuts it, uncertified
+    e = commuting_ensemble(seed=7)
+    targets = [s.mat for s in e.states]
+    x = [ext.mat for ext in classical_broadcast(e, 2).extensions]
+    assert all(np.linalg.eigvalsh(xi)[0] < extopt.SNAP_TOL for xi in x)
+    fx = chi_objective(x, e.probs)
+    assert extopt._chi_face_check(x, fx, e.probs, targets, 2) == (x, fx, True)
+    esc, f_esc, certified = extopt._chi_face_check(x, fx + 1e-3, e.probs, targets, 2)
+    assert not certified and f_esc < fx + 1e-3 - 1e-7
+    assert f_esc == pytest.approx(chi_objective(esc, e.probs), abs=0.0)
+    assert _marginal_residual(esc, targets, 2, 2) <= 1e-14
+
+
+@pytest.mark.parametrize("dykstra_fails", [False, True])
+def test_chi_q_reports_a_feasible_point_when_the_refine_misses_the_marginals(
+        monkeypatch, dykstra_fails):
+    # rho_i (x) I/2 misses the second-site marginals but has chi equal to the
+    # baseline, so reported as it is it would pass as saturated and certified
+    e = seed_pair()
+    targets = [s.mat for s in e.states]
+    bad = [np.kron(t, np.eye(2) / 2) for t in targets]
+    assert chi_objective(bad, e.probs) == pytest.approx(holevo(e), abs=1e-12)
+    assert _marginal_residual(bad, targets, 2, 2) > 0.1
+    monkeypatch.setattr(extopt, "_entropic_refine", lambda *args: (bad, 0.0))
+    if dykstra_fails:
+        def failing(*args, **kwargs):
+            raise NumericalFailure("stalled")
+        monkeypatch.setattr(extopt, "_dykstra", failing)
+    r = chi_q(e, 2)
+    start = chi_objective([extopt._interior_start(t, 2) for t in targets], e.probs)
+    assert r.feasibility_residual <= FEAS_TOL and not r.converged
+    assert r.value > 1e-4
+    if dykstra_fails:
+        assert r.objective_at_optimum == pytest.approx(start, abs=1e-12)
+    else:
+        assert r.objective_at_optimum < start
 
 
 def test_chi_q_qutrit_commuting():
@@ -505,6 +579,24 @@ def test_fidelity_q_hard_pair_frozen_oracle():
     assert r.value == pytest.approx(FID_Q_HARD_VALUE, abs=1e-7)
     assert r.value >= 0.0
     assert r.feasibility_residual <= FEAS_TOL
+
+
+def test_fidelity_q_uncertified_report_end_to_end():
+    # one descent step cannot reach the certificate: the report says so, and
+    # the convex solver ignores the restart count and seed
+    e = seed_pair()
+    reports = [
+        fidelity_q(e.states[0], e.states[1], 2, OptimizerConfig(max_iters=1, **kw))
+        for kw in ({}, {"seed": 7}, {"restarts": 1}, {"restarts": 3, "seed": 0})
+    ]
+    r = reports[0]
+    assert not r.converged and r.iterations == 1
+    assert len(r.restart_values) == 1
+    assert r.objective_at_optimum == r.restart_values[0]
+    assert r.value == r.objective_at_optimum - r.baseline > 0.0
+    assert r.feasibility_residual <= FEAS_TOL
+    assert all(other == r for other in reports[1:])
+    assert QuantumnessReport.from_json(r.to_json()) == r
 
 
 def test_fidelity_q_rejects_unknown_convention():
