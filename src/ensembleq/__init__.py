@@ -42,7 +42,6 @@ from .errors import (
 )
 from .extopt import (
     ExtensionSet,
-    OptimizerConfig,
     QuantumnessReport,
     chi_gradient,
     chi_objective,
@@ -64,6 +63,7 @@ from .recovery import (
 )
 from .accinfo import (
     AccInfoReport,
+    OptimizerConfig,
     Povm,
     PureLimitReport,
     accessible_information,

@@ -26,12 +26,12 @@ from .densmat import (
 )
 from .ensemble import Ensemble, holevo, shannon_entropy
 from .errors import InvalidInput, PreconditionViolated, ResourceLimit, malformed
-from .extopt import OptimizerConfig
 from .rand import rng_from
 
 __all__ = [
     "ACC_DIM_CAP",
     "AccInfoReport",
+    "OptimizerConfig",
     "Povm",
     "PureLimitReport",
     "accessible_information",
@@ -53,6 +53,25 @@ NORMALIZER_FLOOR = 1e-12
 SCAN_STEPS = 5000
 
 DEFAULT_ACC_RESTARTS = 32
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """Settings of the measurement ascent in accessible_information.
+
+    ``restarts`` seeded ascents run, the first from the average state's
+    eigenbasis and the rest from random vectors drawn with ``seed``; each is
+    capped at ``max_iters`` fixed-point steps.  The extension solvers of
+    chi_q and fidelity_q are convex, run from one start and take no settings.
+    """
+
+    max_iters: int = 2000
+    restarts: int = 8
+    seed: int = 42
+
+    def __post_init__(self):
+        if self.max_iters < 1 or self.restarts < 1:
+            raise InvalidInput("iteration and restart counts must be positive")
 
 
 class Povm:

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .accinfo import (
+    OptimizerConfig,
     accessible_information,
     fuchs_quantumness,
     pure_limit_identities,
@@ -31,7 +32,7 @@ from .errors import (
     PreconditionViolated,
     ResourceLimit,
 )
-from .extopt import OptimizerConfig, chi_q, fidelity_q
+from .extopt import chi_q, fidelity_q
 from .recovery import Channel, au_feasible, orthogonal_pair_example, petz_map
 
 __all__ = ["main", "run"]
@@ -53,7 +54,9 @@ SWEEP_HEADER = "a, commutator_norm, au_min_margin, au_feasible, chi_q_n2, fideli
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    return f"{float(x):.12g}"
+    x = float(x)
+    # a pure state's entropy is -0.0; an exact zero prints without a sign
+    return f"{0.0 if x == 0.0 else x:.12g}"
 
 
 def _render_json(obj, indent: int = 0) -> str:
@@ -72,7 +75,7 @@ def _render_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {_render_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -86,7 +89,7 @@ def _render_json(obj, indent: int = 0) -> str:
 def _render_csv_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return _fmt_float(float(v))
@@ -98,7 +101,8 @@ def _scalar_csv(report: dict) -> str:
     flat = {
         k: v
         for k, v in report.items()
-        if v is None or isinstance(v, (bool, int, float, str, np.integer, np.floating))
+        if v is None
+        or isinstance(v, (bool, int, float, str, np.bool_, np.integer, np.floating))
     }
     header = ",".join(flat.keys())
     row = ",".join(_render_csv_value(v) for v in flat.values())
@@ -154,59 +158,48 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _optimizer_config(args, seed: int, default_restarts: Optional[int] = None
-                      ) -> OptimizerConfig:
-    kwargs = {"seed": seed}
-    restarts = getattr(args, "restarts", None)
-    if restarts is None:
-        restarts = default_restarts
-    if restarts is not None:
-        kwargs["restarts"] = int(restarts)
-    max_iters = getattr(args, "max_iters", None)
-    if max_iters is not None:
-        kwargs["max_iters"] = int(max_iters)
-    dykstra = getattr(args, "dykstra_iters", None)
-    if dykstra is not None:
-        kwargs["dykstra_iters"] = int(dykstra)
-    return OptimizerConfig(**kwargs)
+def _optimizer_config(args) -> OptimizerConfig:
+    """The measurement-ascent settings of acc-info, fuchs and pure-limits."""
+    return OptimizerConfig(
+        max_iters=args.max_iters, restarts=args.restarts, seed=_resolve_seed(args)
+    )
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_holevo(args, seed: int) -> dict:
+def _cmd_holevo(args) -> dict:
     e = _load_ensemble(args.input)
     return {"value": holevo(e)}
 
 
-def _cmd_chi_q(args, seed: int) -> dict:
+def _cmd_chi_q(args) -> dict:
     e = _load_ensemble(args.input)
-    cfg = _optimizer_config(args, seed)
-    return chi_q(e, args.n, cfg).to_json()
+    return chi_q(e, args.n).to_json()
 
 
-def _cmd_acc_info(args, seed: int) -> dict:
+def _cmd_acc_info(args) -> dict:
     e = _load_ensemble(args.input)
-    cfg = _optimizer_config(args, seed, default_restarts=32)
+    cfg = _optimizer_config(args)
     return accessible_information(e, cfg).to_json()
 
 
-def _cmd_fuchs(args, seed: int) -> dict:
+def _cmd_fuchs(args) -> dict:
     e = _load_ensemble(args.input)
-    cfg = _optimizer_config(args, seed, default_restarts=32)
+    cfg = _optimizer_config(args)
     chi = holevo(e)
     acc = accessible_information(e, cfg).value
     return {"holevo": chi, "acc_info": acc, "value": chi - acc}
 
 
-def _cmd_pure_limits(args, seed: int) -> dict:
+def _cmd_pure_limits(args) -> dict:
     e = _load_ensemble(args.input)
-    cfg = _optimizer_config(args, seed, default_restarts=32)
+    cfg = _optimizer_config(args)
     return pure_limit_identities(e, cfg).to_json()
 
 
-def _cmd_petz_check(args, seed: int) -> dict:
+def _cmd_petz_check(args) -> dict:
     ref = DensityMatrix(matrix_from_json(_load_json(args.reference)))
     ch = Channel.from_json(_load_json(args.channel))
     recovery = petz_map(ref, ch)
@@ -220,7 +213,7 @@ def _cmd_petz_check(args, seed: int) -> dict:
     }
 
 
-def _cmd_au_check(args, seed: int) -> dict:
+def _cmd_au_check(args) -> dict:
     if (args.a is None) == (args.input is None):
         raise InvalidInput("au-check needs exactly one of --a or --input")
     if args.a is not None:
@@ -230,6 +223,8 @@ def _cmd_au_check(args, seed: int) -> dict:
         out.update(report.to_json())
         return out
     blob = _load_json(args.input)
+    if not isinstance(blob, dict):
+        raise InvalidInput("au-check input must be a JSON object")
     try:
         mats = {k: matrix_from_json(blob[k])
                 for k in ("rho1", "rho2", "sigma1", "sigma2")}
@@ -241,7 +236,7 @@ def _cmd_au_check(args, seed: int) -> dict:
     return report.to_json()
 
 
-def _sweep_rows(args, seed: int) -> list[dict]:
+def _sweep_rows(args) -> list[dict]:
     a_min, a_max, steps = args.a_min, args.a_max, args.steps
     if not (0.0 <= a_min <= 0.5 and 0.0 <= a_max <= 0.5):
         raise InvalidInput("sweep bounds must lie in [0, 1/2]")
@@ -250,17 +245,14 @@ def _sweep_rows(args, seed: int) -> list[dict]:
     if steps < 1:
         raise InvalidInput("sweep needs at least one grid point")
     grid = np.linspace(a_min, a_max, steps) if steps > 1 else np.array([a_min])
-    cfg = _optimizer_config(args, seed)
     rows = []
     for a in grid:
         ex = orthogonal_pair_example(float(a))
         comm = ex.rho1_a.mat @ ex.rho2_a.mat - ex.rho2_a.mat @ ex.rho1_a.mat
         au = au_feasible(ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a)
         e = Ensemble([(0.5, ex.rho1_a), (0.5, ex.rho2_a)])
-        chi_rep = chi_q(e, 2, cfg)
-        fid_rep = fidelity_q(
-            ex.rho1_a, ex.rho2_a, 2, cfg, convention=args.fidelity_convention
-        )
+        chi_rep = chi_q(e, 2)
+        fid_rep = fidelity_q(ex.rho1_a, ex.rho2_a, 2, convention=args.fidelity_convention)
         rows.append(
             {
                 "a": float(a),
@@ -274,8 +266,8 @@ def _sweep_rows(args, seed: int) -> list[dict]:
     return rows
 
 
-def _cmd_sweep_example(args, seed: int) -> str:
-    rows = _sweep_rows(args, seed)
+def _cmd_sweep_example(args) -> str:
+    rows = _sweep_rows(args)
     if args.format == "json":
         return _render_json(rows) + "\n"
     lines = [SWEEP_HEADER]
@@ -290,24 +282,18 @@ def _cmd_sweep_example(args, seed: int) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default json; sweep-example: csv)")
-    common.add_argument("--fidelity-convention", choices=("squared", "root"),
-                        default="squared", help="fidelity convention")
     common.add_argument("--output", default=None,
                         help="write to this path atomically instead of stdout")
 
-    # each command takes the flags of the solvers it runs: restarts for the
-    # non-convex measurement ascent only, step caps for that ascent and
-    # fidelity_q's descent, Dykstra caps for the extension solvers
-    iters = argparse.ArgumentParser(add_help=False)
-    iters.add_argument("--max-iters", type=int, default=None)
-    acc = argparse.ArgumentParser(add_help=False, parents=[iters])
-    acc.add_argument("--restarts", type=int, default=None)
-    dykstra = argparse.ArgumentParser(add_help=False)
-    dykstra.add_argument("--dykstra-iters", type=int, default=None)
+    # the measurement ascent is the one solver with settings: chi_q and
+    # fidelity_q are convex and run from one start at fixed caps
+    acc = argparse.ArgumentParser(add_help=False)
+    acc.add_argument("--seed", type=int, default=None,
+                     help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    acc.add_argument("--restarts", type=int, default=32)
+    acc.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
 
     p = argparse.ArgumentParser(
         prog="ensembleq",
@@ -320,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", help="ensemble JSON file")
     sp.set_defaults(fn=_cmd_holevo)
 
-    sp = sub.add_parser("chi-q", parents=[common, dykstra],
+    sp = sub.add_parser("chi-q", parents=[common],
                         help="broadcast-extension quantumness chi_q^(n)")
     sp.add_argument("input", help="ensemble JSON file")
     sp.add_argument("--n", type=int, default=2, help="number of extension sites")
@@ -355,8 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON file with rho1, rho2, sigma1, sigma2 matrices")
     sp.set_defaults(fn=_cmd_au_check)
 
-    sp = sub.add_parser("sweep-example", parents=[common, iters, dykstra],
+    sp = sub.add_parser("sweep-example", parents=[common],
                         help="sweep the orthogonal-pair example over a")
+    sp.add_argument("--fidelity-convention", choices=("squared", "root"),
+                    default="squared", help="fidelity convention")
     sp.add_argument("--a-min", type=float, default=0.0)
     sp.add_argument("--a-max", type=float, default=0.5)
     sp.add_argument("--steps", type=int, default=11)
@@ -367,13 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        seed = _resolve_seed(args)
         if args.command == "sweep-example":
             if args.format is None:
                 args.format = "csv"
-            text = _cmd_sweep_example(args, seed)
+            text = _cmd_sweep_example(args)
         else:
-            report = args.fn(args, seed)
+            report = args.fn(args)
             if args.format == "csv":
                 text = _scalar_csv(report)
             else:

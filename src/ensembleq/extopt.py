@@ -2,7 +2,10 @@
 
 The feasible set for each ensemble member is the convex body of n-site states
 whose every single-site marginal equals that member.  Both objectives are
-convex on it, and each has its own local solver, run from each base start:
+convex on it.  A family of pure members has one feasible point, its product
+extension; a commuting family is reported at its classical broadcast, which is
+optimal when it saturates the baseline.  Any other family runs its objective's
+local solver once, from a start inside the feasible set:
 
 * chi_q: the entropic refine, an alternating minimization in the matrix-log
   geometry, then its certificate (the projected-gradient mapping norm, plus a
@@ -15,10 +18,10 @@ convex on it, and each has its own local solver, run from each base start:
   the PSD cone and the affine marginal constraints.
 
 Dykstra stops at the first of three events: the marginal residual reaches its
-stop tolerance, the iteration cap, or a plateau (the residual fell by less
-than a relative PLATEAU_RTOL over the last PLATEAU_WINDOW iterations).  The
-plateau is how a projection ends whose two sets do not meet.  That happens on
-the face-pinned probes of the stationarity certificate: the support face is
+stop tolerance, DYKSTRA_ITERS iterations, or a plateau (the residual fell by
+less than a relative PLATEAU_RTOL over the last PLATEAU_WINDOW iterations).
+The plateau is how a projection ends whose two sets do not meet.  That happens
+on the face-pinned probes of the stationarity certificate: the support face is
 read off a snapped iterate, whose marginals may miss the targets by about
 SNAP_TOL, so the PSD matrices on that face need not contain any point of the
 marginal set.  Dykstra then converges to the gap between the sets (Bauschke
@@ -81,6 +84,11 @@ SNAP_TOL = 1e-9
 SAT_TOL = 1e-9
 #: Cap on the rounds of chi_q's entropic refine.
 REFINE_ROUNDS = 1500
+#: Cap on fidelity_q's descent steps.
+DESCENT_STEPS = 2000
+#: Cap on the iterations of every Dykstra projection (project_feasible, both
+#: certificates, fidelity_q's line search).
+DYKSTRA_ITERS = 500
 #: Dykstra leaves its loop once the marginal residual is at least
 #: (1 - PLATEAU_RTOL) times its value PLATEAU_WINDOW iterations earlier.
 PLATEAU_WINDOW = 10
@@ -89,7 +97,6 @@ PLATEAU_RTOL = 1e-6
 __all__ = [
     "DIM_CAP",
     "FEAS_TOL",
-    "OptimizerConfig",
     "ExtensionSet",
     "QuantumnessReport",
     "project_feasible",
@@ -99,27 +106,6 @@ __all__ = [
     "fidelity_q",
     "chi_q_infinite_pure",
 ]
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Solver knobs, each read only by the solvers named here.
-
-    ``max_iters`` caps fidelity_q's descent steps and each
-    accessible_information ascent start; ``dykstra_iters`` caps every Dykstra
-    projection (project_feasible, both certificates, fidelity_q's line
-    search); ``restarts`` and ``seed`` are read by accessible_information
-    only, the one non-convex solver.
-    """
-
-    max_iters: int = 2000
-    dykstra_iters: int = 500
-    restarts: int = 8
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.dykstra_iters < 1 or self.restarts < 1:
-            raise InvalidInput("iteration and restart counts must be positive")
 
 
 class ExtensionSet:
@@ -179,10 +165,10 @@ class ExtensionSet:
 class QuantumnessReport:
     """Result of one quantumness optimization.
 
-    ``iterations`` is 0 for a closed form or a saturated start, 1 for a point
-    certified on arrival, otherwise the number of descent steps (chi_q takes
-    none: it reports 1, certified or not).  ``restart_values`` holds the
-    objective reached from each base start tried.
+    ``iterations`` is 0 for a closed form or a classical broadcast, 1 for a
+    point certified on arrival, otherwise the number of descent steps (chi_q
+    takes none: it reports 1, certified or not).  ``restart_values`` holds one
+    value, the objective at the reported point.
     """
 
     value: float
@@ -195,6 +181,7 @@ class QuantumnessReport:
 
     def __post_init__(self):
         object.__setattr__(self, "restart_values", tuple(self.restart_values))
+        object.__setattr__(self, "converged", bool(self.converged))
         # written so that a NaN anywhere in the three fails it
         if not abs(self.value - (self.objective_at_optimum - self.baseline)) <= 1e-9:
             raise NumericalFailure(
@@ -422,7 +409,7 @@ def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
 
 
 def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
-             cfg: OptimizerConfig, stop_tol: float = 1e-9,
+             stop_tol: float = 1e-9,
              face: Optional[np.ndarray] = None) -> np.ndarray:
     """Dykstra alternating projections onto (PSD cone) & (marginal affine set).
 
@@ -432,7 +419,7 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     point can hold no PSD matrix with the target marginals at all; the
     iterates then converge to the gap between the two sets, and the loop ends
     on the plateau rule (see the module docstring) instead of running on to
-    ``cfg.dykstra_iters``.  Any end above FEAS_TOL raises NumericalFailure.
+    DYKSTRA_ITERS.  Any end above FEAS_TOL raises NumericalFailure.
     """
     point = _pure_target_point(target, n)
     if point is not None:
@@ -441,7 +428,7 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     p = np.zeros_like(y)
     q = np.zeros_like(y)
     resids = []
-    for it in range(cfg.dykstra_iters):
+    for it in range(DYKSTRA_ITERS):
         a = _project_affine(y + p, target, d, n)
         p = y + p - a
         b = a + q if face is None else face @ (a + q) @ face
@@ -462,10 +449,8 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     return y
 
 
-def project_feasible(x, target: DensityMatrix, n: int,
-                     cfg: Optional[OptimizerConfig] = None) -> DensityMatrix:
+def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
     """Project a Hermitian matrix onto the feasible set of ``target``'s extensions."""
-    cfg = cfg or OptimizerConfig()
     if not isinstance(target, DensityMatrix):
         target = DensityMatrix(target)
     d = target.dim
@@ -474,7 +459,7 @@ def project_feasible(x, target: DensityMatrix, n: int,
         raise InvalidInput(
             f"input shape {a.shape} does not match extension dimension {d**n}"
         )
-    y = _dykstra(a, target.mat, d, int(n), cfg)
+    y = _dykstra(a, target.mat, d, int(n))
     y = _project_psd(y)
     y = y / np.trace(y).real
     return DensityMatrix(y)
@@ -531,8 +516,8 @@ def _fidelity_mono_gradient(a: np.ndarray, b: np.ndarray,
 class _Objective(NamedTuple):
     """A monotone minimized over joint extension sets, with its local solver.
 
-    ``local(x0, targets, obj, d, n, cfg)`` runs from one snapped feasible
-    start and returns ``(x, fx, iterations, converged)``.
+    ``local(x0, targets, obj, d, n)`` runs from one snapped feasible start
+    and returns ``(x, fx, iterations, converged)``.
     """
 
     value: Callable[[list[np.ndarray]], float]
@@ -579,8 +564,7 @@ def _support_projector(x: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
-                     targets: Sequence[np.ndarray], d: int, n: int,
-                     cfg: OptimizerConfig) -> float:
+                     targets: Sequence[np.ndarray], d: int, n: int) -> float:
     """Norm of the projected-gradient mapping at a feasible point.
 
     The mapping norm ||x - P(x - delta*g)|| / delta certifies stationarity
@@ -601,7 +585,7 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     for delta in PG_PROBE_LADDER:
         try:
             moved = [
-                _snap_small(_dykstra(xi - delta * gi, t, d, n, cfg, face=Pi))
+                _snap_small(_dykstra(xi - delta * gi, t, d, n, face=Pi))
                 for xi, gi, t, Pi in zip(x, g, targets, faces)
             ]
         except NumericalFailure:
@@ -616,7 +600,7 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
 
 
 def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-             obj: _Objective, d: int, n: int, cfg: OptimizerConfig):
+             obj: _Objective, d: int, n: int):
     """fidelity_q's local solver: projected gradient descent with Armijo backtracking.
 
     Returns ``(x, fx, iterations, converged)`` where ``converged`` certifies a
@@ -628,9 +612,9 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
     step = STEP_INIT
     stall = 0
     pg_norm = np.inf
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, DESCENT_STEPS + 1):
         g = grad(x)
-        pg_norm = _pg_mapping_norm(x, g, targets, d, n, cfg)
+        pg_norm = _pg_mapping_norm(x, g, targets, d, n)
         if pg_norm <= PG_TOL:
             return x, fx, iters, True
         gnorm = float(np.sqrt(sum(np.linalg.norm(gi) ** 2 for gi in g)))
@@ -639,7 +623,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
         accepted = False
         while s >= 1e-13:
             try:
-                trial = [_snap_small(_dykstra(xi - s * gi, t, d, n, cfg))
+                trial = [_snap_small(_dykstra(xi - s * gi, t, d, n))
                          for xi, gi, t in zip(x, g, targets)]
             except NumericalFailure:
                 # trial too far from the feasible set to project; back off
@@ -671,8 +655,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
 
 
 def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                        obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
-                        probs: np.ndarray):
+                        obj: _Objective, d: int, n: int, probs: np.ndarray):
     """chi_q's local solver: the entropic refine, then its certificate.
 
     The certificate is the projected-gradient mapping norm at the snapped
@@ -684,7 +667,7 @@ def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
     """
     def certificate(es):
         snapped = [_snap_small(e) for e in es]
-        return _pg_mapping_norm(snapped, obj.gradient(snapped), targets, d, n, cfg)
+        return _pg_mapping_norm(snapped, obj.gradient(snapped), targets, d, n)
 
     E, pg = _entropic_refine(x0, targets, probs, d, n, certificate)
     x = [_snap_small(e) for e in E]
@@ -696,7 +679,7 @@ def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
         # the refine's last scaling round can end a little off the marginal
         # set, and a refine that cycles can end far from it
         try:
-            y = [_snap_small(_dykstra(xi, t, d, n, cfg)) for xi, t in zip(x, targets)]
+            y = [_snap_small(_dykstra(xi, t, d, n)) for xi, t in zip(x, targets)]
         except NumericalFailure:
             return list(x0), obj.value(x0), 1, False
         fy = obj.value(y)
@@ -736,53 +719,18 @@ def _chi_face_check(x: Sequence[np.ndarray], fx: float, probs: np.ndarray,
     return x, fx, True
 
 
-def _run_starts(targets: list[np.ndarray], starts: list[list[np.ndarray]],
-                obj: _Objective, d: int, n: int, cfg: OptimizerConfig,
-                floor_bound: float):
-    """Run the objective's local solver from each base start until one certifies.
-
-    Both objectives are convex, so a certified point is the global optimum.
-    ``floor_bound`` is a proven lower bound on the objective (the base value
-    under a monotone map): any point within SAT_TOL of it is optimal too,
-    the only reliable test at singular points where floored logarithms make
-    the projected-gradient probe meaningless.
-    """
-    def saturated(val: float) -> bool:
-        # values more than 1e-7 below the proven floor signal broken numerics
-        # and must not be certified (they fail the report's sanity checks)
-        return floor_bound - 1e-7 <= val <= floor_bound + SAT_TOL
-
-    best = None
-    start_values = []
-    for xs in starts:
-        snapped = [_snap_small(np.array(e, dtype=complex)) for e in xs]
-        f0 = obj.value(snapped)
-        if saturated(f0):
-            f0 = max(f0, floor_bound)  # dips below a proven floor are rounding
-            start_values.append(f0)
-            return (snapped, f0, 0, True), start_values
-        x, fx, iters, conv = obj.local(snapped, targets, obj, d, n, cfg)
-        if saturated(fx):
-            fx = max(fx, floor_bound)
-            conv = True
-        start_values.append(fx)
-        if best is None or fx < best[1] - 1e-15:
-            best = (x, fx, iters, conv)
-        if conv:
-            # an earlier lower-but-uncertified iterate inherits the flag, as
-            # it sits between the certified point and the optimum
-            return best[:3] + (True,), start_values
-    return best, start_values
-
-
-def _optimize_extensions(e: Ensemble, n: int, cfg: OptimizerConfig,
-                         obj: _Objective, baseline: float) -> QuantumnessReport:
+def _optimize_extensions(e: Ensemble, n: int, obj: _Objective,
+                         baseline: float) -> QuantumnessReport:
     """Minimize ``obj`` over joint n-site extensions of ``e``'s members.
 
     ``baseline`` is the objective on the members themselves, a proven lower
     bound over the feasible set; the report's value is the gap above it.
-    Pure members pin the feasible set to their product extensions; a
-    commuting family starts from its exact classical broadcast.
+    Both objectives are convex, so a certified point is the global optimum,
+    and so is any point within SAT_TOL of the baseline: the only reliable
+    test at singular points, where floored logarithms make the
+    projected-gradient probe meaningless.  Pure members pin the feasible set
+    to their product extensions; a commuting family is reported at its
+    classical broadcast.
     """
     d = e.dim
     if n < 2:
@@ -796,15 +744,17 @@ def _optimize_extensions(e: Ensemble, n: int, cfg: OptimizerConfig,
         # a pure marginal forces the product extension: the feasible set is a point
         x = [_k.kron_power(t, n) for t in targets]
         fx, iters, conv = obj.value(x), 0, True
-        restart_values = [fx]
     else:
-        base_starts = []
         if is_broadcastable(e):
-            base_starts.append([ext.mat for ext in classical_broadcast(e, n).extensions])
-        base_starts.append([_interior_start(t, n) for t in targets])
-        (x, fx, iters, conv), restart_values = _run_starts(
-            targets, base_starts, obj, d, n, cfg, floor_bound=baseline
-        )
+            x = [_snap_small(ext.mat) for ext in classical_broadcast(e, n).extensions]
+            fx, iters, conv = obj.value(x), 0, False
+        else:
+            x0 = [_snap_small(_interior_start(t, n)) for t in targets]
+            x, fx, iters, conv = obj.local(x0, targets, obj, d, n)
+        # values more than 1e-7 below the proven floor signal broken numerics
+        # and must not be certified (they fail the report's sanity checks)
+        if baseline - 1e-7 <= fx <= baseline + SAT_TOL:
+            fx, conv = max(fx, baseline), True  # dips below the floor are rounding
     return QuantumnessReport(
         value=max(fx - baseline, 0.0),
         objective_at_optimum=fx,
@@ -812,11 +762,11 @@ def _optimize_extensions(e: Ensemble, n: int, cfg: OptimizerConfig,
         feasibility_residual=_marginal_residual(x, targets, d, n),
         iterations=iters,
         converged=conv,
-        restart_values=tuple(restart_values),
+        restart_values=(fx,),
     )
 
 
-def chi_q(e: Ensemble, n: int, cfg: Optional[OptimizerConfig] = None) -> QuantumnessReport:
+def chi_q(e: Ensemble, n: int) -> QuantumnessReport:
     """Excess Holevo quantity of the best n-site broadcast extension.
 
     Minimizes chi of the extension ensemble over all feasible extension sets
@@ -829,11 +779,10 @@ def chi_q(e: Ensemble, n: int, cfg: Optional[OptimizerConfig] = None) -> Quantum
         lambda xs: chi_objective(xs, probs), lambda xs: chi_gradient(xs, probs),
         partial(_refine_and_certify, probs=probs),
     )
-    return _optimize_extensions(e, n, cfg or OptimizerConfig(), obj, holevo(e))
+    return _optimize_extensions(e, n, obj, holevo(e))
 
 
 def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
-               cfg: Optional[OptimizerConfig] = None,
                convention: str = "squared") -> QuantumnessReport:
     """Fidelity-monotone gap between a pair of states and its best extensions.
 
@@ -855,7 +804,7 @@ def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     )
     baseline = _fidelity_mono_objective(rho.mat, sigma.mat, convention)
     pair = Ensemble([(0.5, rho), (0.5, sigma)])
-    return _optimize_extensions(pair, n, cfg or OptimizerConfig(), obj, baseline)
+    return _optimize_extensions(pair, n, obj, baseline)
 
 
 def chi_q_infinite_pure(e: Ensemble) -> float:

@@ -21,13 +21,16 @@ from ensembleq.densmat import (
 from ensembleq.ensemble import Ensemble, build_flagged_state, classical_broadcast, holevo
 from ensembleq.extopt import (
     ExtensionSet,
-    OptimizerConfig,
     chi_gradient,
     chi_objective,
     chi_q,
     project_feasible,
 )
-from ensembleq.accinfo import accessible_information, pure_limit_identities
+from ensembleq.accinfo import (
+    OptimizerConfig,
+    accessible_information,
+    pure_limit_identities,
+)
 from ensembleq.rand import (
     random_commuting_states,
     random_density_matrix,
@@ -84,9 +87,7 @@ def feasible_interior_extension(target: np.ndarray, n: int, seed: int,
     d = target.shape[0]
     product = kron_power(target, n)
     noisy = product + random_hermitian(d**n, seed=seed, scale=scale)
-    projected = project_feasible(
-        noisy, DensityMatrix(target), n, OptimizerConfig(dykstra_iters=4000)
-    ).mat
+    projected = project_feasible(noisy, DensityMatrix(target), n).mat
     return 0.8 * projected + 0.2 * product
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from ensembleq.accinfo import (
     AccInfoReport,
+    OptimizerConfig,
     Povm,
     accessible_information,
     fuchs_quantumness,
@@ -17,7 +18,6 @@ from ensembleq.accinfo import (
 from ensembleq.densmat import DensityMatrix, eig_hermitian
 from ensembleq.ensemble import Ensemble, holevo
 from ensembleq.errors import InvalidInput, PreconditionViolated, ResourceLimit
-from ensembleq.extopt import OptimizerConfig
 from ensembleq.rand import random_commuting_states, random_density_matrix, random_kraus
 from ensembleq.recovery import Channel
 

@@ -2,11 +2,12 @@
 
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
-from ensembleq.cli import SWEEP_HEADER, run
+from ensembleq.cli import SWEEP_HEADER, _render_csv_value, _render_json, run
 from ensembleq.densmat import DensityMatrix, matrix_to_json
 from ensembleq.ensemble import Ensemble
 from ensembleq.errors import NumericalFailure
@@ -76,12 +77,30 @@ def test_chi_q_command(capsys, zero_plus_file):
     assert blob["converged"] is True
 
 
-def test_chi_q_optimizer_overrides(capsys, orthogonal_file):
-    blob = run_json(
-        capsys,
-        ["chi-q", orthogonal_file, "--n", "2", "--dykstra-iters", "50"],
+def test_exact_zeros_print_without_a_sign(capsys, tmp_path):
+    # a pure state's entropy is -0.0, and so is the one-member chi
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(Ensemble([(1.0, KET0)]).to_json()))
+    assert run(["holevo", str(path)]) == 0
+    assert capsys.readouterr().out == '{\n  "value": 0\n}\n'
+    blob = run_json(capsys, ["chi-q", str(path)])
+    assert (blob["value"], blob["objective"], blob["baseline"]) == (0, 0, 0)
+    assert blob["restarts"] == [0]
+    assert run(["chi-q", str(path), "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert "-0" not in out and out.splitlines()[1].startswith("0,0,0,")
+
+
+def test_numpy_bool_flags_render_as_json_and_csv_booleans():
+    r = QuantumnessReport(
+        value=0.0, objective_at_optimum=1.0, baseline=1.0,
+        feasibility_residual=0.0, iterations=1, converged=np.False_,
+        restart_values=(1.0,),
     )
-    assert blob["value"] == pytest.approx(0.0, abs=1e-6)
+    assert r.to_json()["converged"] is False
+    assert '"converged": false' in _render_json(r.to_json())
+    assert _render_json(np.True_) == _render_csv_value(np.True_) == "true"
+    assert _render_csv_value(np.False_) == "false"
 
 
 @pytest.mark.parametrize(
@@ -90,10 +109,16 @@ def test_chi_q_optimizer_overrides(capsys, orthogonal_file):
         ["chi-q", "{file}", "--restarts", "1"],
         ["chi-q", "{file}", "--max-iters", "50"],
         ["sweep-example", "--restarts", "1"],
+        ["chi-q", "{file}", "--n", "2", "--dykstra-iters", "50"],
+        ["sweep-example", "--max-iters", "5"],
+        ["sweep-example", "--dykstra-iters", "5"],
+        ["holevo", "{file}", "--seed", "3"],
+        ["holevo", "{file}", "--fidelity-convention", "root"],
     ],
 )
 def test_extension_commands_reject_restart_flags(orthogonal_file, argv):
-    # chi_q and fidelity_q are convex and run from their base starts only
+    # each command takes only the flags of the solvers it runs: chi_q and
+    # fidelity_q are convex, run from one start and take no settings
     with pytest.raises(SystemExit) as exc:
         run([a.format(file=orthogonal_file) for a in argv])
     assert exc.value.code == 2
@@ -292,6 +317,13 @@ def test_exit_code_on_malformed_json(tmp_path):
     assert run(["holevo", str(path)]) == 2
 
 
+def test_exit_code_on_au_check_input_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert run(["au-check", "--input", str(path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("p", "half"), ("dim", "two")])
 def test_exit_code_on_malformed_ensemble_field(tmp_path, capsys, field, value):
     blob = Ensemble([(0.5, KET0), (0.5, PLUS)]).to_json()
@@ -343,36 +375,28 @@ def test_seed_resolution_order(monkeypatch, zero_plus_file, capsys):
 
     captured = {}
 
-    def fake_chi_q(e, n, cfg):
+    def fake_accessible_information(e, cfg):
         captured["seed"] = cfg.seed
-        return QuantumnessReport(
-            value=0.0,
-            objective_at_optimum=1.0,
-            baseline=1.0,
-            feasibility_residual=0.0,
-            iterations=1,
-            converged=True,
-            restart_values=(1.0,),
-        )
+        return types.SimpleNamespace(to_json=lambda: {"value": 0.0})
 
-    monkeypatch.setattr(cli_mod, "chi_q", fake_chi_q)
+    monkeypatch.setattr(cli_mod, "accessible_information", fake_accessible_information)
 
     monkeypatch.delenv("ENSEMBLEQ_SEED", raising=False)
-    assert run(["chi-q", zero_plus_file]) == 0
+    assert run(["acc-info", zero_plus_file]) == 0
     assert captured["seed"] == 42
 
     monkeypatch.setenv("ENSEMBLEQ_SEED", "7")
-    assert run(["chi-q", zero_plus_file]) == 0
+    assert run(["acc-info", zero_plus_file]) == 0
     assert captured["seed"] == 7
 
-    assert run(["chi-q", zero_plus_file, "--seed", "13"]) == 0
+    assert run(["acc-info", zero_plus_file, "--seed", "13"]) == 0
     assert captured["seed"] == 13
     capsys.readouterr()
 
 
 def test_invalid_seed_env_rejected(monkeypatch, zero_plus_file):
     monkeypatch.setenv("ENSEMBLEQ_SEED", "not-a-number")
-    assert run(["holevo", zero_plus_file]) == 2
+    assert run(["acc-info", zero_plus_file]) == 2
 
 
 def test_console_entry_point_runs():

@@ -6,6 +6,7 @@ import pytest
 from ensembleq.densmat import DensityMatrix, partial_trace, von_neumann_entropy
 from ensembleq.ensemble import Ensemble, classical_broadcast, holevo
 from ensembleq import _kernel, extopt
+from ensembleq.accinfo import OptimizerConfig
 from ensembleq.errors import (
     InvalidInput,
     NumericalFailure,
@@ -13,12 +14,13 @@ from ensembleq.errors import (
     ResourceLimit,
 )
 from ensembleq.extopt import (
+    DESCENT_STEPS,
+    DYKSTRA_ITERS,
     FEAS_TOL,
     STALL_TOL,
     STEP_INIT,
     STEP_SHRINK,
     ExtensionSet,
-    OptimizerConfig,
     QuantumnessReport,
     chi_gradient,
     chi_objective,
@@ -83,9 +85,7 @@ def interior_feasible_point(target: np.ndarray, n: int, seed: int) -> np.ndarray
     d = target.shape[0]
     noise = random_hermitian(d**n, seed=seed, scale=0.02)
     blended = _power(target, n) + noise
-    return project_feasible(
-        blended, DensityMatrix(target), n, OptimizerConfig(dykstra_iters=4000)
-    ).mat
+    return project_feasible(blended, DensityMatrix(target), n).mat
 
 
 def _power(m: np.ndarray, n: int) -> np.ndarray:
@@ -105,7 +105,8 @@ def test_optimizer_config_defaults():
     assert STEP_INIT == 0.5
     assert STEP_SHRINK == 0.5
     assert STALL_TOL == 1e-9
-    assert cfg.dykstra_iters == 500
+    assert DESCENT_STEPS == 2000
+    assert DYKSTRA_ITERS == 500
     assert cfg.restarts == 8
     assert cfg.seed == 42
 
@@ -205,7 +206,7 @@ def test_dykstra_fails_fast_when_the_face_cannot_hold_the_target(monkeypatch):
     face[0, 0] = 1.0
     calls = _count_affine_projections(monkeypatch)
     with pytest.raises(NumericalFailure):
-        _dykstra(_power(target, 2), target, 2, 2, OptimizerConfig(), face=face)
+        _dykstra(_power(target, 2), target, 2, 2, face=face)
     assert len(calls) <= 30
 
 
@@ -213,10 +214,10 @@ def test_dykstra_plateau_stop_matches_the_full_loop(monkeypatch):
     # capture the face-pinned certificate probes chi_q makes on the pair
     probes = []
 
-    def recording(x, target, d, n, cfg, stop_tol=1e-9, face=None):
+    def recording(x, target, d, n, stop_tol=1e-9, face=None):
         if face is not None:
             probes.append((x.copy(), target.copy(), face.copy()))
-        return _dykstra(x, target, d, n, cfg, stop_tol, face)
+        return _dykstra(x, target, d, n, stop_tol, face)
 
     monkeypatch.setattr(extopt, "_dykstra", recording)
     chi_q(seed_pair(), 2)
@@ -236,7 +237,7 @@ def test_dykstra_plateau_stop_matches_the_full_loop(monkeypatch):
         # loop never meets the 1e-9 stop test, and ends feasible all the same
         assert 1e-9 < _marginal_residual([ref], [target], 2, 2) <= FEAS_TOL
         calls = _count_affine_projections(monkeypatch)
-        y = _dykstra(x, target, 2, 2, OptimizerConfig(), face=face)
+        y = _dykstra(x, target, 2, 2, face=face)
         monkeypatch.undo()
         assert len(calls) < 100
         assert np.linalg.norm(y - ref) <= 1e-10
@@ -331,10 +332,7 @@ def test_chi_gradient_matches_finite_differences():
             raw = random_hermitian(4, rng, scale=1.0)
             raw -= np.trace(raw) / 4 * np.eye(4)
             # remove the marginal components so the direction stays feasible
-            shifted = project_feasible(
-                m + 0.01 * raw, DensityMatrix(target), 2,
-                OptimizerConfig(dykstra_iters=4000),
-            ).mat
+            shifted = project_feasible(m + 0.01 * raw, DensityMatrix(target), 2).mat
             dirs.append((shifted - m) / 0.01)
         plus = [m + h * d for m, d in zip(mats, dirs)]
         minus = [m - h * d for m, d in zip(mats, dirs)]
@@ -503,6 +501,20 @@ def test_chi_q_qutrit_commuting():
     assert report.value <= 1e-6
 
 
+def test_commuting_family_never_enters_a_local_solver(monkeypatch):
+    # the classical broadcast saturates the baseline, so it closes the run
+    def no_local_solver(*args, **kwargs):
+        raise AssertionError("a commuting family entered a local solver")
+
+    monkeypatch.setattr(extopt, "_refine_and_certify", no_local_solver)
+    monkeypatch.setattr(extopt, "_descend", no_local_solver)
+    e = commuting_ensemble(seed=151)
+    for r in (chi_q(e, 2), fidelity_q(e.states[0], e.states[1], 2)):
+        assert r.converged and r.iterations == 0
+        assert r.restart_values == (r.objective_at_optimum,)
+        assert r.value <= 1e-9
+
+
 def test_chi_q_rejects_single_site():
     with pytest.raises(InvalidInput):
         chi_q(zero_plus(), 1)
@@ -581,21 +593,16 @@ def test_fidelity_q_hard_pair_frozen_oracle():
     assert r.feasibility_residual <= FEAS_TOL
 
 
-def test_fidelity_q_uncertified_report_end_to_end():
-    # one descent step cannot reach the certificate: the report says so, and
-    # the convex solver ignores the restart count and seed
+def test_fidelity_q_uncertified_report_end_to_end(monkeypatch):
+    # one descent step cannot reach the certificate: the report says so
+    monkeypatch.setattr(extopt, "DESCENT_STEPS", 1)
     e = seed_pair()
-    reports = [
-        fidelity_q(e.states[0], e.states[1], 2, OptimizerConfig(max_iters=1, **kw))
-        for kw in ({}, {"seed": 7}, {"restarts": 1}, {"restarts": 3, "seed": 0})
-    ]
-    r = reports[0]
+    r = fidelity_q(e.states[0], e.states[1], 2)
     assert not r.converged and r.iterations == 1
     assert len(r.restart_values) == 1
     assert r.objective_at_optimum == r.restart_values[0]
     assert r.value == r.objective_at_optimum - r.baseline > 0.0
     assert r.feasibility_residual <= FEAS_TOL
-    assert all(other == r for other in reports[1:])
     assert QuantumnessReport.from_json(r.to_json()) == r
 
 
