@@ -4,6 +4,16 @@ Nothing here validates: callers pass square complex ndarrays that already meet
 each function's contract.  The public, validating forms live in ``densmat``;
 the solver loops in ``extopt`` call these directly.
 
+``site_index(d, n)`` is a cached table of the flat positions that each
+single-site marginal of a d**n x d**n matrix sums: one site's slice of it
+reaches the blocks ``site_view`` exposes.  ``site_marginals`` gathers all n
+marginals through it at once, bit for bit the sums ``partial_trace`` makes,
+and ``subtract_at_sites`` subtracts one operator embedded at every site in one
+indexed, in-place call.  ``extopt`` runs its Dykstra projection (the affine
+step and the per-iteration residual) and its marginal residual, and so
+``ExtensionSet.feasibility_residual``, on the table; the scaling I-projection
+keeps ``partial_trace`` and ``site_view``.
+
 ``hermitize``, ``matrix_function``, ``partial_trace`` and ``site_view`` also
 accept a stack of matrices, shape ``(..., D, D)``, and act on each one; on a
 single matrix they compute exactly what they did before stacks existed, and a
@@ -12,6 +22,7 @@ stacked call gives each member the same bits as its own call.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -112,6 +123,57 @@ def embed_at_site(op: np.ndarray, dims: tuple, site: int) -> np.ndarray:
     out = np.zeros((big, big), dtype=complex)
     site_view(out, dims, site)[...] = op
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def identity(dim: int) -> np.ndarray:
+    """The complex dim x dim identity, cached and read-only."""
+    eye = np.eye(dim, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+@functools.lru_cache(maxsize=None)
+def site_index(d: int, n: int) -> np.ndarray:
+    """Flat positions of a d**n x d**n matrix that its single-site marginals sum.
+
+    Shape (n, d**(n-1), d, d), cached and read-only: entry [k, j, a, b] is the
+    j-th of the positions whose sum is entry (a, b) of site k's marginal, with
+    j the index of the other n-1 sites in site order, so ``x.ravel()[idx[k]]``
+    holds the blocks ``site_view(x, (d,) * n, k)`` exposes.  The summed index
+    sits before (a, b): numpy adds a contiguous last axis pairwise, but a
+    leading one in index order, the order ``partial_trace`` adds in.
+    """
+    dims = (d,) * n
+    pos = np.arange(d ** (2 * n)).reshape(d**n, d**n)
+    idx = np.stack([site_view(pos, dims, k).reshape(-1, d, d) for k in range(n)])
+    idx.setflags(write=False)
+    return idx
+
+
+def site_marginals(x: np.ndarray, d: int, n: int) -> np.ndarray:
+    """All n single-site marginals of one d**n x d**n matrix, shape (n, d, d).
+
+    Each equals ``partial_trace(x, (d,) * n, (k,))`` bit for bit: that traces
+    the other sites out one at a time, last site first, and the gathered terms
+    are summed over the same sites in the same order.
+    """
+    g = x.ravel()[site_index(d, n)].reshape((n,) + (d,) * (n - 1) + (d, d))
+    for _ in range(n - 1):
+        g = np.add.reduce(g, axis=-3)
+    return g
+
+
+def subtract_at_sites(x: np.ndarray, ops: np.ndarray, d: int, n: int) -> None:
+    """In place, x -= sum_k I x ... x ops[k] x ... x I, with ops[k] on site k.
+
+    Each entry of x takes its terms in site order, as n successive
+    ``site_view(x, dims, k)[...] -= ops[k]`` would.  ``x`` must be
+    C-contiguous, as for ``site_view``.
+    """
+    if not x.flags.c_contiguous:
+        raise ValueError("subtract_at_sites needs a C-contiguous array")
+    np.subtract.at(x.reshape(-1), site_index(d, n), ops[:, None])
 
 
 def bloch_vector(a: np.ndarray) -> np.ndarray:

@@ -60,10 +60,18 @@ def is_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= tol
 
 
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, or InvalidInput if any entry is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix has non-finite entries")
+    return a
+
+
 def _require_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InvalidInput(f"matrix is not square: shape {a.shape}")
+    _require_finite(a)
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > tol:
         raise InvalidInput(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.1e}")
@@ -136,7 +144,7 @@ class DimensionProfile:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.local_dims)
+        dims = tuple(_local_dim(d) for d in self.local_dims)
         if len(dims) == 0:
             raise InvalidInput("dimension profile must contain at least one site")
         if any(d < 1 for d in dims):
@@ -150,6 +158,16 @@ class DimensionProfile:
     @property
     def total_dim(self) -> int:
         return int(np.prod(self.local_dims))
+
+
+def _local_dim(d) -> int:
+    try:
+        k = int(d)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != d:
+        raise InvalidInput(f"local dimensions must be integers, got {d!r}")
+    return k
 
 
 def _as_profile(profile) -> DimensionProfile:

@@ -40,8 +40,8 @@ __all__ = [
 class Ensemble:
     """A finite ensemble {(p_i, rho_i)} of same-dimension states.
 
-    Probabilities must be nonnegative and sum to 1 within 1e-10; states are
-    validated through :class:`DensityMatrix`.
+    Probabilities must be finite, nonnegative and sum to 1 within 1e-10;
+    states are validated through :class:`DensityMatrix`.
     """
 
     def __init__(self, members: Sequence[tuple[float, DensityMatrix]]):
@@ -52,6 +52,8 @@ class Ensemble:
         states = []
         for p, rho in members:
             p = float(p)
+            if not math.isfinite(p):
+                raise InvalidInput(f"probability must be finite, got {p}")
             if p < -1e-12:
                 raise InvalidInput(f"negative probability {p}")
             if not isinstance(rho, DensityMatrix):

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _kernel as _k
 from ._kernel import PURE_TOL  # noqa: F401  (re-exported solver tolerance)
-from .densmat import DensityMatrix, as_matrix
+from .densmat import DensityMatrix, as_matrix, _require_finite
 from .ensemble import Ensemble, classical_broadcast, holevo, is_broadcastable
 from .errors import (
     InvalidInput,
@@ -231,34 +231,31 @@ class QuantumnessReport:
 # feasible-set projections
 # ---------------------------------------------------------------------------
 
-def _marginal(x: np.ndarray, d: int, n: int, site: int) -> np.ndarray:
-    return _k.partial_trace(x, (d,) * n, (site,))
-
-
 def _marginal_residual(mats: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                        d: int, n: int) -> float:
     """Largest Frobenius deviation of any single-site marginal from its target."""
+    # one norm per marginal: a stacked norm sums in another order
     return max(
-        float(np.linalg.norm(_marginal(m, d, n, site) - t))
+        float(np.linalg.norm(r))
         for m, t in zip(mats, targets)
-        for site in range(n)
+        for r in _k.site_marginals(m, d, n) - t
     )
 
 
-def _project_affine(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.ndarray:
+def _project_affine(x: np.ndarray, target: np.ndarray, target_trace: complex,
+                    d: int, n: int) -> np.ndarray:
     """Orthogonal projection onto {Y : every single-site marginal of Y = target}.
 
     Closed form: subtract a global trace correction plus one traceless
-    marginal-deviation correction embedded at each site.
+    marginal-deviation correction embedded at each site.  ``target_trace`` is
+    ``np.trace(target)``.
     """
     big = d**n
-    t = (np.trace(x) - np.trace(target)).real
-    y = np.ascontiguousarray(x - (t / big) * np.eye(big, dtype=complex))
-    dims = (d,) * n
-    for site in range(n):
-        r = _marginal(x, d, n, site) - target
-        r_traceless = r - (np.trace(r) / d) * np.eye(d, dtype=complex)
-        _k.site_view(y, dims, site)[...] -= r_traceless / d ** (n - 1)
+    t = (x.trace() - target_trace).real
+    y = np.ascontiguousarray(x - (t / big) * _k.identity(big))
+    r = _k.site_marginals(x, d, n) - target
+    r_traceless = r - (r.trace(axis1=1, axis2=2) / d)[:, None, None] * _k.identity(d)
+    _k.subtract_at_sites(y, r_traceless / d ** (n - 1), d, n)
     return y
 
 
@@ -424,12 +421,13 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     point = _pure_target_point(target, n)
     if point is not None:
         return point
+    target_trace = np.trace(target)
     y = _k.hermitize(x)
     p = np.zeros_like(y)
     q = np.zeros_like(y)
     resids = []
     for it in range(DYKSTRA_ITERS):
-        a = _project_affine(y + p, target, d, n)
+        a = _project_affine(y + p, target, target_trace, d, n)
         p = y + p - a
         b = a + q if face is None else face @ (a + q) @ face
         y = _project_psd(b)
@@ -454,7 +452,7 @@ def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
     if not isinstance(target, DensityMatrix):
         target = DensityMatrix(target)
     d = target.dim
-    a = as_matrix(x)
+    a = _require_finite(as_matrix(x))
     if a.shape != (d**n, d**n):
         raise InvalidInput(
             f"input shape {a.shape} does not match extension dimension {d**n}"

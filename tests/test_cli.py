@@ -324,6 +324,20 @@ def test_exit_code_on_au_check_input_that_is_not_an_object(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("member, field", [(0, "p"), (1, "re")])
+def test_exit_code_on_ensemble_json_with_a_nan_literal(tmp_path, capsys, member, field):
+    blob = Ensemble([(0.5, KET0), (0.5, PLUS)]).to_json()
+    if field == "p":
+        blob["members"][member]["p"] = float("nan")
+    else:
+        blob["members"][member]["state"]["re"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(blob))
+    assert "NaN" in path.read_text()
+    assert run(["holevo", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("p", "half"), ("dim", "two")])
 def test_exit_code_on_malformed_ensemble_field(tmp_path, capsys, field, value):
     blob = Ensemble([(0.5, KET0), (0.5, PLUS)]).to_json()

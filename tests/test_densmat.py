@@ -18,7 +18,7 @@ from ensembleq.densmat import (
     trace_norm,
     von_neumann_entropy,
 )
-from ensembleq import _kernel
+from ensembleq import _kernel, extopt
 from ensembleq.errors import InvalidInput
 from ensembleq.rand import (
     random_density_matrix,
@@ -331,6 +331,35 @@ def test_wrappers_match_kernel():
         assert np.array_equal(tensor(tensor(rho, rho), rho), _kernel.kron_power(rho, 3))
 
 
+SITE_TABLE_SHAPES = [(d, n) for d in range(2, 9) for n in range(2, 7)
+                     if d**n <= extopt.DIM_CAP]
+
+
+@pytest.mark.parametrize("d, n", SITE_TABLE_SHAPES)
+def test_site_table_gathers_marginals_and_embeds(d, n):
+    dims, big = (d,) * n, d**n
+    idx = _kernel.site_index(d, n)
+    assert idx.shape == (n, d ** (n - 1), d, d) and not idx.flags.writeable
+    assert _kernel.site_index(d, n) is idx
+    rng = rng_from(100 * d + n)
+    x = rng.normal(size=(big, big)) + 1j * rng.normal(size=(big, big))
+    ops = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    marginals = _kernel.site_marginals(x, d, n)
+    y = x.copy()
+    _kernel.subtract_at_sites(y, ops, d, n)
+    stepwise = x.copy()
+    for site in range(n):
+        # the solver's reports rest on these being bit-identical
+        assert np.array_equal(marginals[site], _kernel.partial_trace(x, dims, (site,)))
+        embedded = np.zeros((big, big), dtype=complex)
+        embedded.ravel()[idx[site]] = ops[site]
+        assert np.array_equal(embedded, _kernel.embed_at_site(ops[site], dims, site))
+        _kernel.site_view(stepwise, dims, site)[...] -= ops[site]
+    assert np.array_equal(y, stepwise)
+    with pytest.raises(ValueError):
+        _kernel.subtract_at_sites(np.asfortranarray(x), ops, d, n)
+
+
 def test_kernel_stacks_match_single_matrices():
     # each member of a stacked call gets the bits of its own 2-D call
     dims = (2, 3)
@@ -403,8 +432,27 @@ def test_dimension_profile_invariants():
     prof = DimensionProfile((2, 3, 2))
     assert prof.site_count == 3
     assert prof.total_dim == 12
+    assert DimensionProfile((2.0, np.int64(2))).local_dims == (2, 2)
     with pytest.raises(InvalidInput):
         DimensionProfile((2, 0))
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), "2", None])
+def test_dimension_profile_rejects_non_integral_dims(bad):
+    with pytest.raises(InvalidInput):
+        DimensionProfile((bad, 2))
+    with pytest.raises(InvalidInput):
+        partial_trace(np.eye(4) / 4, (bad, 2), 0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan), -np.inf])
+def test_non_finite_matrices_are_rejected(entry):
+    m = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    m[0, 0] = entry
+    for check in (DensityMatrix, eig_hermitian, trace_norm,
+                  lambda a: matrix_function(a, "log2")):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            check(m)
 
 
 def test_operations_do_not_mutate_inputs():

@@ -55,6 +55,12 @@ def test_ensemble_rejects_bad_probabilities():
         Ensemble([])
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_ensemble_rejects_non_finite_probabilities(p):
+    with pytest.raises(InvalidInput, match="finite"):
+        Ensemble([(p, KET0), (1.0, PLUS)])
+
+
 def test_ensemble_rejects_dimension_mismatch():
     with pytest.raises(InvalidInput):
         Ensemble([(0.5, KET0), (0.5, DensityMatrix(np.eye(3) / 3))])

@@ -28,7 +28,6 @@ from ensembleq.extopt import (
     chi_q_infinite_pure,
     fidelity_q,
     _dykstra,
-    _marginal,
     _marginal_residual,
     _project_affine,
     _project_psd,
@@ -160,10 +159,15 @@ def test_project_feasible_pins_marginals():
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
 def test_project_affine_returns_exact_marginals(d, n):
     target = random_density_matrix(d, seed=54)
-    y = _project_affine(random_hermitian(d**n, seed=55), target, d, n)
+    x = random_hermitian(d**n, seed=55)
+    y = _project_affine(x, target, np.trace(target), d, n)
     for site in range(n):
-        assert np.linalg.norm(_marginal(y, d, n, site) - target) <= 1e-12
-    assert np.linalg.norm(_project_affine(y, target, d, n) - y) <= 1e-12
+        assert np.linalg.norm(partial_trace(y, (d,) * n, site) - target) <= 1e-12
+    assert np.linalg.norm(_project_affine(y, target, np.trace(target), d, n) - y) <= 1e-12
+    # an orthogonal projection: x - P(x) is normal to the affine set, which
+    # holds the product extension z
+    z = _kernel.kron_power(target, n)
+    assert abs(np.vdot(x - y, y - z)) <= 1e-12
 
 
 def test_project_feasible_idempotent_on_feasible_input():
@@ -184,6 +188,11 @@ def test_project_feasible_pure_target_gives_product():
 def test_project_feasible_rejects_shape_mismatch():
     with pytest.raises(InvalidInput):
         project_feasible(np.eye(2) / 2, KET0, 2)
+
+
+def test_project_feasible_rejects_non_finite_input():
+    with pytest.raises(InvalidInput, match="non-finite"):
+        project_feasible(np.full((4, 4), np.nan), KET0, 2)
 
 
 def _count_affine_projections(monkeypatch) -> list:
@@ -229,7 +238,7 @@ def test_dykstra_plateau_stop_matches_the_full_loop(monkeypatch):
         p = np.zeros_like(ref)
         q = np.zeros_like(ref)
         for _ in range(500):
-            a = _project_affine(ref + p, target, 2, 2)
+            a = _project_affine(ref + p, target, np.trace(target), 2, 2)
             p = ref + p - a
             ref = _project_psd(face @ (a + q) @ face)
             q = a + q - ref
