@@ -4,20 +4,17 @@ Nothing here validates: callers pass square complex ndarrays that already meet
 each function's contract.  The public, validating forms live in ``densmat``;
 the solver loops in ``extopt`` call these directly.
 
-``site_index(d, n)`` is a cached table of the flat positions that each
-single-site marginal of a d**n x d**n matrix sums: one site's slice of it
-reaches the blocks ``site_view`` exposes.  ``site_marginals`` gathers all n
-marginals through it at once, bit for bit the sums ``partial_trace`` makes,
-and ``subtract_at_sites`` subtracts one operator embedded at every site in one
-indexed, in-place call.  ``extopt`` runs its Dykstra projection (the affine
-step and the per-iteration residual) and its marginal residual, and so
-``ExtensionSet.feasibility_residual``, on the table; the scaling I-projection
-keeps ``partial_trace`` and ``site_view``.
+Solver loops touch single-site marginals only through ``site_index(d, n)``, a
+cached table of the flat positions that each single-site marginal of a
+d**n x d**n matrix sums.  ``site_marginals`` gathers marginals through it, bit
+for bit the sums ``partial_trace`` makes; ``add_at_site`` adds one operator at
+one site and ``subtract_at_sites`` subtracts one at every site, each in one
+indexed, in-place call.  ``partial_trace`` and ``site_view`` serve ``densmat``'s
+public functions, ``embed_at_site`` and the table's construction.
 
-``hermitize``, ``matrix_function``, ``partial_trace`` and ``site_view`` also
-accept a stack of matrices, shape ``(..., D, D)``, and act on each one; on a
-single matrix they compute exactly what they did before stacks existed, and a
-stacked call gives each member the same bits as its own call.
+``hermitize``, ``matrix_function`` and ``add_at_site`` act on each matrix of a
+``(..., D, D)`` stack, and ``site_marginals`` on each of an ``(m, D, D)`` stack;
+a stacked call gives each member the same bits as its own call.
 """
 
 from __future__ import annotations
@@ -93,18 +90,16 @@ def kron_power(a: np.ndarray, n: int) -> np.ndarray:
 
 def partial_trace(x: np.ndarray, dims: tuple, keep) -> np.ndarray:
     """Trace out every site not in ``keep``; kept sites stay in order."""
-    lead = x.shape[:-2]
-    t = x.reshape(lead + dims + dims)
+    t = x.reshape(dims + dims)
     for site in reversed(range(len(dims))):
         if site not in keep:
-            axis = len(lead) + site
-            t = np.trace(t, axis1=axis, axis2=axis + (t.ndim - len(lead)) // 2)
+            t = np.trace(t, axis1=site, axis2=site + t.ndim // 2)
     d_keep = math.prod(dims[i] for i in keep)
-    return t.reshape(lead + (d_keep, d_keep))
+    return t.reshape(d_keep, d_keep)
 
 
 def site_view(x: np.ndarray, dims: tuple, site: int) -> np.ndarray:
-    """Writable (..., L, R, d, d) view of the blocks of ``x`` that I x op x I touches.
+    """Writable (L, R, d, d) view of the blocks of ``x`` that I x op x I touches.
 
     Adding ``op`` through it adds op embedded at ``site``.  ``x`` must be
     C-contiguous: reshaping anything else copies, and the writes would be lost.
@@ -113,8 +108,7 @@ def site_view(x: np.ndarray, dims: tuple, site: int) -> np.ndarray:
         raise ValueError("site_view needs a C-contiguous array")
     left, right = math.prod(dims[:site]), math.prod(dims[site + 1:])
     d = dims[site]
-    return np.einsum("...iajibj->...ijab",
-                     x.reshape(x.shape[:-2] + (left, d, right, left, d, right)))
+    return np.einsum("iajibj->ijab", x.reshape(left, d, right, left, d, right))
 
 
 def embed_at_site(op: np.ndarray, dims: tuple, site: int) -> np.ndarray:
@@ -151,17 +145,29 @@ def site_index(d: int, n: int) -> np.ndarray:
     return idx
 
 
-def site_marginals(x: np.ndarray, d: int, n: int) -> np.ndarray:
-    """All n single-site marginals of one d**n x d**n matrix, shape (n, d, d).
+def site_marginals(x: np.ndarray, d: int, n: int, site=None) -> np.ndarray:
+    """Single-site marginals of one d**n x d**n matrix or of an (m, D, D) stack.
 
-    Each equals ``partial_trace(x, (d,) * n, (k,))`` bit for bit: that traces
-    the other sites out one at a time, last site first, and the gathered terms
-    are summed over the same sites in the same order.
+    All n of them, shape ([m,] n, d, d), or with ``site`` that one, shape
+    ([m,] d, d).  Each equals ``partial_trace(x, (d,) * n, (k,))`` bit for
+    bit: that traces the other sites out one at a time, last site first, and
+    the gathered terms are summed over the same sites in the same order.
     """
-    g = x.ravel()[site_index(d, n)].reshape((n,) + (d,) * (n - 1) + (d, d))
+    idx = site_index(d, n) if site is None else site_index(d, n)[site]
+    # a flat gather from one matrix is several times cheaper than an indexed
+    # last axis, and Dykstra gathers twice per iteration
+    g = x.ravel()[idx] if x.ndim == 2 else x.reshape(len(x), -1)[:, idx]
+    g = g.reshape(g.shape[:-3] + (d,) * (n - 1) + (d, d))
     for _ in range(n - 1):
         g = np.add.reduce(g, axis=-3)
     return g
+
+
+def add_at_site(x: np.ndarray, op: np.ndarray, d: int, n: int, site: int) -> None:
+    """In place, x += op embedded at ``site``, on a C-contiguous x of shape (..., D, D)."""
+    if not x.flags.c_contiguous:
+        raise ValueError("add_at_site needs a C-contiguous array")
+    x.reshape(x.shape[:-2] + (-1,))[..., site_index(d, n)[site]] += op[..., None, :, :]
 
 
 def subtract_at_sites(x: np.ndarray, ops: np.ndarray, d: int, n: int) -> None:

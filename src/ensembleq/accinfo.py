@@ -19,6 +19,8 @@ import numpy as np
 
 from . import _kernel as _k
 from .densmat import (
+    _require_finite,
+    _require_int,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -70,6 +72,8 @@ class OptimizerConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("max_iters", "restarts", "seed"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name))
         if self.max_iters < 1 or self.restarts < 1:
             raise InvalidInput("iteration and restart counts must be positive")
 
@@ -82,7 +86,7 @@ class Povm:
     """
 
     def __init__(self, elements: Sequence[np.ndarray]):
-        els = [np.array(as_matrix(m), dtype=complex) for m in elements]
+        els = [_require_finite(np.array(as_matrix(m), dtype=complex)) for m in elements]
         if not els:
             raise InvalidInput("a measurement needs at least one element")
         d = els[0].shape[0]

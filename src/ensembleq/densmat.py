@@ -60,10 +60,10 @@ def is_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= tol
 
 
-def _require_finite(a: np.ndarray) -> np.ndarray:
+def _require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``a`` itself, or InvalidInput if any entry is NaN or infinite."""
     if not np.isfinite(a).all():
-        raise InvalidInput("matrix has non-finite entries")
+        raise InvalidInput(f"{what} has non-finite entries")
     return a
 
 
@@ -144,7 +144,7 @@ class DimensionProfile:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(_local_dim(d) for d in self.local_dims)
+        dims = tuple(_require_int(d, "each local dimension") for d in self.local_dims)
         if len(dims) == 0:
             raise InvalidInput("dimension profile must contain at least one site")
         if any(d < 1 for d in dims):
@@ -160,13 +160,14 @@ class DimensionProfile:
         return int(np.prod(self.local_dims))
 
 
-def _local_dim(d) -> int:
+def _require_int(value, what: str) -> int:
+    """``value`` as an int, or InvalidInput unless it is an integral number."""
     try:
-        k = int(d)
+        k = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         k = None
-    if k is None or k != d:
-        raise InvalidInput(f"local dimensions must be integers, got {d!r}")
+    if k is None or k != value:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
     return k
 
 
@@ -334,7 +335,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if missing:
         raise InvalidInput(f"matrix JSON missing keys {sorted(missing)}")
     with malformed("matrix"):
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _require_int(obj["rows"], "rows"), _require_int(obj["cols"], "cols")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     if rows < 1 or cols < 1:

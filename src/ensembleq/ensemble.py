@@ -12,6 +12,8 @@ from . import _kernel as _k
 from .densmat import (
     DensityMatrix,
     DimensionProfile,
+    _require_finite,
+    _require_int,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -116,7 +118,7 @@ class Ensemble:
                 p = float(m["p"]) if all(have_p) else 1.0 / len(members)
                 pairs.append((p, DensityMatrix(matrix_from_json(m["state"]))))
             ens = cls(pairs)
-            if "dim" in obj and int(obj["dim"]) != ens.dim:
+            if "dim" in obj and _require_int(obj["dim"], "dim") != ens.dim:
                 raise InvalidInput(
                     f"declared dim {obj['dim']} does not match member dimension {ens.dim}"
                 )
@@ -151,6 +153,7 @@ def shannon_entropy(probs: Iterable[float]) -> float:
     p = np.asarray(list(probs), dtype=float)
     if p.size == 0:
         raise InvalidInput("probability vector must be non-empty")
+    _require_finite(p, "probability vector")
     if np.any(p < -1e-12):
         raise InvalidInput("probabilities must be nonnegative")
     if abs(float(p.sum()) - 1.0) > 1e-10:
@@ -221,6 +224,7 @@ def classical_broadcast(e: Ensemble, n: int) -> "ExtensionSet":
     """
     from .extopt import ExtensionSet  # local import to avoid a module cycle
 
+    n = _require_int(n, "site count")
     if n < 2:
         raise InvalidInput(f"broadcast needs at least 2 sites, got n={n}")
     report = is_broadcastable(e)

@@ -17,8 +17,8 @@ local solver once, from a start inside the feasible set:
   is restored after each step with Dykstra alternating projections between
   the PSD cone and the affine marginal constraints.
 
-Dykstra stops at the first of three events: the marginal residual reaches its
-stop tolerance, DYKSTRA_ITERS iterations, or a plateau (the residual fell by
+Dykstra stops at the first of three events: the marginal residual reaches
+DYKSTRA_TOL, DYKSTRA_ITERS iterations, or a plateau (the residual fell by
 less than a relative PLATEAU_RTOL over the last PLATEAU_WINDOW iterations).
 The plateau is how a projection ends whose two sets do not meet.  That happens
 on the face-pinned probes of the stationarity certificate: the support face is
@@ -41,8 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernel as _k
-from ._kernel import PURE_TOL  # noqa: F401  (re-exported solver tolerance)
-from .densmat import DensityMatrix, as_matrix, _require_finite
+from .densmat import DensityMatrix, as_matrix, _require_finite, _require_int
 from .ensemble import Ensemble, classical_broadcast, holevo, is_broadcastable
 from .errors import (
     InvalidInput,
@@ -84,11 +83,16 @@ SNAP_TOL = 1e-9
 SAT_TOL = 1e-9
 #: Cap on the rounds of chi_q's entropic refine.
 REFINE_ROUNDS = 1500
+#: Scaling sweeps per refine round: a couple suffice, since the multiplier
+#: warm start keeps each block within a short hop of its optimum.
+SCALING_SWEEPS = 2
 #: Cap on fidelity_q's descent steps.
 DESCENT_STEPS = 2000
 #: Cap on the iterations of every Dykstra projection (project_feasible, both
-#: certificates, fidelity_q's line search).
+#: certificates, fidelity_q's line search, chi_q's feasibility restoration).
 DYKSTRA_ITERS = 500
+#: Dykstra returns once the marginal residual is at most this.
+DYKSTRA_TOL = 1e-9
 #: Dykstra leaves its loop once the marginal residual is at least
 #: (1 - PLATEAU_RTOL) times its value PLATEAU_WINDOW iterations earlier.
 PLATEAU_WINDOW = 10
@@ -118,8 +122,8 @@ class ExtensionSet:
     def __init__(self, n: int, local_dim: int,
                  extensions: Sequence[DensityMatrix],
                  target_marginals: Sequence[DensityMatrix]):
-        n = int(n)
-        local_dim = int(local_dim)
+        n = _require_int(n, "site count")
+        local_dim = _require_int(local_dim, "local dimension")
         if n < 2:
             raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
         if local_dim < 2:
@@ -210,14 +214,18 @@ class QuantumnessReport:
             raise InvalidInput("report JSON must be an object")
         with malformed("report"):
             try:
+                converged, restarts = obj["converged"], obj["restarts"]
+                if not isinstance(converged, bool) or not isinstance(restarts, list) or any(
+                        isinstance(v, bool) or not isinstance(v, (int, float)) for v in restarts):
+                    raise InvalidInput("report needs boolean 'converged', numeric 'restarts'")
                 return cls(
                     value=float(obj["value"]),
                     objective_at_optimum=float(obj["objective"]),
                     baseline=float(obj["baseline"]),
                     feasibility_residual=float(obj["feasibility_residual"]),
-                    iterations=int(obj["iterations"]),
-                    converged=bool(obj["converged"]),
-                    restart_values=tuple(float(v) for v in obj["restarts"]),
+                    iterations=_require_int(obj["iterations"], "report iterations"),
+                    converged=converged,
+                    restart_values=tuple(float(v) for v in restarts),
                 )
             except KeyError as exc:
                 raise InvalidInput(f"report JSON missing key {exc.args[0]!r}") from exc
@@ -282,46 +290,32 @@ def _snap_small(m: np.ndarray) -> np.ndarray:
     return out * (float(np.trace(m).real) / tr)
 
 
-def _scaling_iproject(log_sigma: np.ndarray, targets: np.ndarray,
-                      log_targets: np.ndarray, d: int, n: int,
-                      tol: float, sweeps: int, mult_init: np.ndarray):
+def _scaling_iproject(log_sigma: np.ndarray, log_targets: np.ndarray, d: int, n: int,
+                      mult_init: np.ndarray):
     """Relative-entropy projections of exp(log_sigma) onto m members' marginal sets.
 
     Iterative proportional scaling: cycle over sites, multiplying in the
     exponent by the mismatch between the required and the current marginal.
     The running exponent is exact by construction, so only the site marginals
-    need fresh eigendecompositions.  All members run as one stack: ``targets``
-    and ``log_targets`` are (m, d, d), ``mult_init`` (m, D, D) warm-starts the
-    accumulated site multipliers (they drift slowly across outer rounds), and
-    the projections and final multiplier sums come back as (m, D, D) stacks.
-    A member whose marginals all lie within ``tol`` at the end of a sweep
-    leaves the stack; each member's result is the one it would get alone.
+    need fresh eigendecompositions.  All members run as one stack for
+    SCALING_SWEEPS sweeps: ``log_targets`` is (m, d, d), ``mult_init``
+    (m, D, D) warm-starts the accumulated site multipliers (they drift slowly
+    across outer rounds), and the projections and final multiplier sums come
+    back as (m, D, D) stacks.  Each member's result is the one it would get
+    alone.
     """
-    dims = (d,) * n
-    E_out = np.empty_like(mult_init)
-    mult_out = np.empty_like(mult_init)
-    live = np.arange(len(mult_init))
     # the multipliers are updated in place, so they must not alias ``mult_init``
     mult = mult_init.copy()
     L = log_sigma + mult
     E = _k.matrix_function(L, "exp")
-    for _ in range(sweeps):
-        worst = np.zeros(len(live))
+    for _ in range(SCALING_SWEEPS):
         for k in range(n):
-            mk = _k.partial_trace(E, dims, (k,))
-            worst = np.maximum(worst, np.linalg.norm(mk - targets, axis=(-2, -1)))
-            corr = (log_targets - _k.matrix_function(mk, "log"))[:, None, None]
-            _k.site_view(mult, dims, k)[...] += corr
-            _k.site_view(L, dims, k)[...] += corr
+            mk = _k.site_marginals(E, d, n, k)
+            corr = log_targets - _k.matrix_function(mk, "log")
+            _k.add_at_site(mult, corr, d, n, k)
+            _k.add_at_site(L, corr, d, n, k)
             E = _k.matrix_function(L, "exp")
-        E_out[live] = E
-        mult_out[live] = mult
-        going = worst >= tol
-        if not going.any():
-            break
-        live, targets, log_targets = live[going], targets[going], log_targets[going]
-        mult, L, E = mult[going], L[going], E[going]
-    return E_out, mult_out
+    return E, mult
 
 
 def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray],
@@ -335,7 +329,7 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     the marginal constraint set.  Both blocks respect the matrix-log geometry,
     so iterates approach boundary minimizers geometrically instead of the
     sublinear crawl of Euclidean steps, and every iterate stays feasible up
-    to the scaling tolerance.
+    to what SCALING_SWEEPS sweeps leave.
 
     ``certificate(E) -> float`` (a stationarity-certificate norm) is
     consulted once the objective stabilizes.  Near boundary minimizers the
@@ -355,8 +349,7 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
         for m, pt in zip(starts, pinned_points)
     ]
     free = [i for i, pt in enumerate(pinned_points) if pt is None]
-    free_targets = np.array([targets[i] for i in free], dtype=complex)
-    log_targets = _k.matrix_function(free_targets, "log")
+    log_targets = _k.matrix_function(np.array([targets[i] for i in free], dtype=complex), "log")
     mults = np.zeros((len(free), d**n, d**n), dtype=complex)
     prev = chi_objective(E, probs)
     stable = 0
@@ -365,12 +358,7 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     for _ in range(REFINE_ROUNDS):
         sigma = sum(p * m for p, m in zip(probs, E))
         log_sigma = _k.matrix_function(sigma, "log")
-        # a couple of interleaved sweeps per round suffice: the multiplier
-        # warm start keeps each block within a short hop of its optimum
-        projected, mults = _scaling_iproject(
-            log_sigma, free_targets, log_targets, d, n, tol=1e-12, sweeps=2,
-            mult_init=mults,
-        )
+        projected, mults = _scaling_iproject(log_sigma, log_targets, d, n, mults)
         for i, Ei in zip(free, projected):
             E[i] = Ei
         cur = chi_objective(E, probs)
@@ -406,7 +394,6 @@ def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
 
 
 def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
-             stop_tol: float = 1e-9,
              face: Optional[np.ndarray] = None) -> np.ndarray:
     """Dykstra alternating projections onto (PSD cone) & (marginal affine set).
 
@@ -433,7 +420,7 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
         y = _project_psd(b)
         q = a + q - y
         resid = _marginal_residual([y], [target], d, n)
-        if resid <= stop_tol:
+        if resid <= DYKSTRA_TOL:
             return y
         resids.append(resid)
         if (it >= PLATEAU_WINDOW
@@ -451,13 +438,13 @@ def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
     """Project a Hermitian matrix onto the feasible set of ``target``'s extensions."""
     if not isinstance(target, DensityMatrix):
         target = DensityMatrix(target)
-    d = target.dim
+    d, n = target.dim, _require_int(n, "site count")
     a = _require_finite(as_matrix(x))
     if a.shape != (d**n, d**n):
         raise InvalidInput(
             f"input shape {a.shape} does not match extension dimension {d**n}"
         )
-    y = _dykstra(a, target.mat, d, int(n))
+    y = _dykstra(a, target.mat, d, n)
     y = _project_psd(y)
     y = y / np.trace(y).real
     return DensityMatrix(y)
@@ -730,7 +717,7 @@ def _optimize_extensions(e: Ensemble, n: int, obj: _Objective,
     to their product extensions; a commuting family is reported at its
     classical broadcast.
     """
-    d = e.dim
+    d, n = e.dim, _require_int(n, "site count")
     if n < 2:
         raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
     if d**n > DIM_CAP:

@@ -20,6 +20,8 @@ from ._kernel import hermitize
 from .densmat import (
     DensityMatrix,
     _as_profile,
+    _require_finite,
+    _require_int,
     as_matrix,
     matrix_from_json,
     matrix_function,
@@ -62,7 +64,7 @@ class Channel:
     """
 
     def __init__(self, kraus_ops: Sequence[np.ndarray]):
-        ops = [np.array(as_matrix(k), dtype=complex) for k in kraus_ops]
+        ops = [_require_finite(np.array(as_matrix(k), dtype=complex)) for k in kraus_ops]
         if not ops:
             raise InvalidInput("a channel needs at least one Kraus operator")
         out_dim, in_dim = ops[0].shape
@@ -114,8 +116,8 @@ class Channel:
 
         Eigenvalues at or below CHOI_RANK_FLOOR are dropped.
         """
-        a = hermitize(np.array(as_matrix(choi), dtype=complex))
-        in_dim, out_dim = int(in_dim), int(out_dim)
+        a = hermitize(_require_finite(np.array(as_matrix(choi), dtype=complex)))
+        in_dim, out_dim = _require_int(in_dim, "in_dim"), _require_int(out_dim, "out_dim")
         if a.shape != (out_dim * in_dim, out_dim * in_dim):
             raise InvalidInput(
                 f"process matrix shape {a.shape} does not match dims "
@@ -162,9 +164,9 @@ class Channel:
             raise InvalidInput("channel JSON must be an object with a 'kraus' list")
         with malformed("channel"):
             ch = cls([matrix_from_json(k) for k in obj["kraus"]])
-            if "in_dim" in obj and int(obj["in_dim"]) != ch.in_dim:
+            if "in_dim" in obj and _require_int(obj["in_dim"], "in_dim") != ch.in_dim:
                 raise InvalidInput("declared in_dim does not match Kraus shapes")
-            if "out_dim" in obj and int(obj["out_dim"]) != ch.out_dim:
+            if "out_dim" in obj and _require_int(obj["out_dim"], "out_dim") != ch.out_dim:
                 raise InvalidInput("declared out_dim does not match Kraus shapes")
         return ch
 

@@ -62,6 +62,13 @@ def test_povm_rejects_negative_element():
         Povm([1.5 * KET0.mat, np.eye(2) - 1.5 * KET0.mat])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_povm_rejects_non_finite_element(bad):
+    # a NaN element once passed validation and gave zero mutual information
+    with pytest.raises(InvalidInput):
+        Povm([np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros((2, 2))])
+
+
 def test_povm_rejects_non_hermitian():
     bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     with pytest.raises(InvalidInput):

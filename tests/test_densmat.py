@@ -356,29 +356,34 @@ def test_site_table_gathers_marginals_and_embeds(d, n):
         assert np.array_equal(embedded, _kernel.embed_at_site(ops[site], dims, site))
         _kernel.site_view(stepwise, dims, site)[...] -= ops[site]
     assert np.array_equal(y, stepwise)
-    with pytest.raises(ValueError):
-        _kernel.subtract_at_sites(np.asfortranarray(x), ops, d, n)
+    # a stack of three gathers one site per call and takes one operator per
+    # member, each member with the bits of its own 2-D partial trace and view
+    stack = rng.normal(size=(3, big, big)) + 1j * rng.normal(size=(3, big, big))
+    stack_ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    for site in range(n):
+        gathered = _kernel.site_marginals(stack, d, n, site)
+        added = stack.copy()
+        _kernel.add_at_site(added, stack_ops, d, n, site)
+        for i, member in enumerate(stack):
+            assert np.array_equal(gathered[i], _kernel.partial_trace(member, dims, (site,)))
+            viewed = member.copy()
+            _kernel.site_view(viewed, dims, site)[...] += stack_ops[i]
+            assert np.array_equal(added[i], viewed)
+    for write in (lambda a: _kernel.subtract_at_sites(a, ops, d, n),
+                  lambda a: _kernel.add_at_site(a, ops[0], d, n, 0)):
+        with pytest.raises(ValueError):
+            write(np.asfortranarray(x))
 
 
 def test_kernel_stacks_match_single_matrices():
     # each member of a stacked call gets the bits of its own 2-D call
-    dims = (2, 3)
     stack = np.array([random_density_matrix(6, seed=90 + s) for s in range(3)])
-    ops = np.array([random_hermitian(3, seed=95 + s) for s in range(3)])
     skew = stack + 1j * np.array([random_hermitian(6, seed=99 + s) for s in range(3)])
-    views = stack.copy()
-    _kernel.site_view(views, dims, 1)[...] += ops[:, None, None]
     for i, rho in enumerate(stack):
         assert np.array_equal(_kernel.hermitize(skew)[i], _kernel.hermitize(skew[i]))
         for fn in ("log", "exp", "sqrt"):
             assert np.array_equal(_kernel.matrix_function(stack, fn)[i],
                                   _kernel.matrix_function(rho, fn))
-        for keep in ((0,), (1,), (0, 1)):
-            assert np.array_equal(_kernel.partial_trace(stack, dims, keep)[i],
-                                  _kernel.partial_trace(rho, dims, keep))
-        single = rho.copy()
-        _kernel.site_view(single, dims, 1)[...] += ops[i]
-        assert np.array_equal(views[i], single)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +431,10 @@ def test_matrix_json_round_trip():
 def test_matrix_json_rejects_malformed():
     with pytest.raises(InvalidInput):
         matrix_from_json({"rows": 2, "cols": 2, "re": [[1, 0]], "im": [[0, 0]]})
+    square = {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    for rows, cols in ((2.5, 2), (2, "2")):
+        with pytest.raises(InvalidInput):
+            matrix_from_json({"rows": rows, "cols": cols, **square})
 
 
 def test_dimension_profile_invariants():

@@ -90,6 +90,11 @@ def test_ensemble_json_rejects_partial_probabilities():
         Ensemble.from_json(blob)
 
 
+def test_ensemble_json_rejects_a_non_integral_dim():
+    with pytest.raises(InvalidInput):
+        Ensemble.from_json({**zero_plus().to_json(), "dim": 2.5})
+
+
 # ---------------------------------------------------------------------------
 # shannon_entropy and holevo
 # ---------------------------------------------------------------------------
@@ -105,6 +110,12 @@ def test_shannon_entropy_rejects_bad_distribution():
         shannon_entropy([0.5, 0.6])
     with pytest.raises(InvalidInput):
         shannon_entropy([1.5, -0.5])
+
+
+@pytest.mark.parametrize("probs", [[np.nan], [0.5, np.nan, 0.5], [np.inf, -np.inf]])
+def test_shannon_entropy_rejects_non_finite_probabilities(probs):
+    with pytest.raises(InvalidInput):
+        shannon_entropy(probs)
 
 
 def test_holevo_orthogonal_pure_pair():

@@ -113,6 +113,27 @@ def test_optimizer_config_defaults():
 def test_optimizer_config_validation():
     with pytest.raises(InvalidInput):
         OptimizerConfig(max_iters=0)
+    for bad in ({"restarts": 1.5}, {"max_iters": "10"}, {"seed": 4.2}):
+        with pytest.raises(InvalidInput):
+            OptimizerConfig(**bad)
+    assert OptimizerConfig(restarts=3.0).restarts == 3
+
+
+def test_site_counts_must_be_integral():
+    e = commuting_ensemble(seed=41)
+    members = [s.mat for s in e.states]
+    rho, sigma = e.states
+    for call in (lambda: ExtensionSet(2.5, 2, [_power(m, 2) for m in members], members),
+                 lambda: chi_q(seed_pair(), 2.5),
+                 lambda: fidelity_q(rho, sigma, 2.5),
+                 lambda: classical_broadcast(e, 2.5),
+                 lambda: chi_q(seed_pair(), "2")):
+        with pytest.raises(InvalidInput):
+            call()
+    # an integral float counts sites like the int it equals
+    assert chi_q(e, 2.0) == chi_q(e, 2)
+    assert fidelity_q(rho, sigma, 2.0) == fidelity_q(rho, sigma, 2)
+    assert classical_broadcast(e, 2.0).n == 2
 
 
 def test_extension_set_accepts_feasible_members():
@@ -223,10 +244,10 @@ def test_dykstra_plateau_stop_matches_the_full_loop(monkeypatch):
     # capture the face-pinned certificate probes chi_q makes on the pair
     probes = []
 
-    def recording(x, target, d, n, stop_tol=1e-9, face=None):
+    def recording(x, target, d, n, face=None):
         if face is not None:
             probes.append((x.copy(), target.copy(), face.copy()))
-        return _dykstra(x, target, d, n, stop_tol, face)
+        return _dykstra(x, target, d, n, face)
 
     monkeypatch.setattr(extopt, "_dykstra", recording)
     chi_q(seed_pair(), 2)
@@ -261,28 +282,44 @@ def test_scaling_iproject_stack_matches_each_member_alone(monkeypatch):
     log_targets = _kernel.matrix_function(targets, "log")
     log_sigma = _kernel.matrix_function(random_density_matrix(8, seed=34), "log")
     zero = np.zeros((3, 8, 8), dtype=complex)
-    _, converged = _scaling_iproject(log_sigma, targets, log_targets, 2, 3, 0.0, 200, zero)
-    _, partial = _scaling_iproject(log_sigma, targets, log_targets, 2, 3, 0.0, 10, zero)
-    # member 0 starts converged, member 1 part of the way, member 2 cold
-    mult = np.array([converged[0], partial[1], zero[2]])
-    stack_sizes = []
-    partial_trace_of = _kernel.partial_trace
+    _, once = _scaling_iproject(log_sigma, log_targets, 2, 3, zero)
+    _, twice = _scaling_iproject(log_sigma, log_targets, 2, 3, once)
+    # member 0 starts two calls warm, member 1 one call warm, member 2 cold
+    mult = np.array([twice[0], once[1], zero[2]])
+    before = mult.copy()
+    gathers = []
+    site_marginals = _kernel.site_marginals
 
-    def recording(x, dims, keep):
-        stack_sizes.append(len(x))
-        return partial_trace_of(x, dims, keep)
+    def recording(x, d, n, site=None):
+        gathers.append((x.shape, site))
+        return site_marginals(x, d, n, site)
 
-    monkeypatch.setattr(_kernel, "partial_trace", recording)
-    E, M = _scaling_iproject(log_sigma, targets, log_targets, 2, 3, 1e-8, 25, mult)
+    monkeypatch.setattr(_kernel, "site_marginals", recording)
+    E, M = _scaling_iproject(log_sigma, log_targets, 2, 3, mult)
     monkeypatch.undo()
-    # one marginal per site and sweep: 1 sweep with all three members, then
-    # the other two until member 1 stops, then member 2 alone up to the cap
-    per_sweep = stack_sizes[::3]
-    assert per_sweep[:2] == [3, 2] and per_sweep[-1] == 1 and len(per_sweep) == 25
+    # two sweeps of one whole-stack gather per site, and no member leaves
+    assert gathers == [((3, 8, 8), k) for k in (0, 1, 2)] * 2
+    assert np.array_equal(mult, before)
     for i in range(3):
-        Ei, Mi = _scaling_iproject(log_sigma, targets[i:i + 1], log_targets[i:i + 1],
-                                   2, 3, 1e-8, 25, mult[i:i + 1])
+        Ei, Mi = _scaling_iproject(log_sigma, log_targets[i:i + 1], 2, 3, mult[i:i + 1])
         assert np.array_equal(Ei[0], E[i]) and np.array_equal(Mi[0], M[i])
+
+
+def test_solver_loops_gather_marginals_only_through_the_site_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solver loop left the site table")
+
+    qutrits = Ensemble(
+        [(0.5, DensityMatrix(random_density_matrix(3, seed=s))) for s in (11, 12)]
+    )
+    # building a site table calls site_view, so build the ones these runs use first
+    for d, n in ((2, 2), (2, 3), (3, 2)):
+        _kernel.site_index(d, n)
+    monkeypatch.setattr(_kernel, "partial_trace", forbidden)
+    monkeypatch.setattr(_kernel, "site_view", forbidden)
+    for r in (chi_q(seed_pair(), 2), chi_q(seed_pair(), 3), chi_q(qutrits, 2),
+              fidelity_q(*seed_pair().states, 2)):
+        assert r.feasibility_residual <= FEAS_TOL
 
 
 def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
@@ -298,9 +335,9 @@ def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
         refined.append(out[0])
         return out
 
-    def recording_iproject(log_sigma, targets, *args, **kwargs):
-        stacks.append(targets.shape)
-        return iproject(log_sigma, targets, *args, **kwargs)
+    def recording_iproject(log_sigma, log_targets, *args, **kwargs):
+        stacks.append(log_targets.shape)
+        return iproject(log_sigma, log_targets, *args, **kwargs)
 
     monkeypatch.setattr(extopt, "_entropic_refine", recording_refine)
     monkeypatch.setattr(extopt, "_scaling_iproject", recording_iproject)
@@ -426,7 +463,8 @@ def test_chi_q_report_json_round_trip():
     assert back.converged == report.converged
     below = {"value": -1e-3, "objective": blob["baseline"] - 1e-3}
     for bad in ({"iterations": "many"}, {"restarts": None},
-                {"value": blob["value"] + 1e-3}, below, {"value": float("nan")}):
+                {"value": blob["value"] + 1e-3}, below, {"value": float("nan")},
+                {"converged": "false"}, {"restarts": "123"}, {"iterations": 1.7}):
         with pytest.raises(InvalidInput):
             QuantumnessReport.from_json({**blob, **bad})
 

@@ -51,6 +51,18 @@ def test_channel_rejects_non_trace_preserving():
         Channel([np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)])
 
 
+def test_channel_rejects_non_finite_kraus():
+    with pytest.raises(InvalidInput):
+        Channel([np.array([[np.nan, 0.0], [0.0, 1.0]])])
+
+
+def test_channel_from_choi_rejects_non_finite_process_matrix():
+    choi = np.zeros((4, 4), dtype=complex)
+    choi[0, 0] = np.inf
+    with pytest.raises(InvalidInput):
+        Channel.from_choi(choi, 2, 2)
+
+
 def test_channel_rejects_empty_and_ragged_kraus():
     with pytest.raises(InvalidInput):
         Channel([])
@@ -75,9 +87,9 @@ def test_channel_json_round_trip():
 
 def test_channel_json_rejects_inconsistent_dims():
     blob = Channel(random_kraus(2, 2, 2, seed=65)).to_json()
-    blob["in_dim"] = 3
-    with pytest.raises(InvalidInput):
-        Channel.from_json(blob)
+    for key, bad in (("in_dim", 3), ("in_dim", 2.5), ("out_dim", 2.5)):
+        with pytest.raises(InvalidInput):
+            Channel.from_json({**blob, key: bad})
 
 
 def test_channel_apply_rejects_dimension_mismatch():
