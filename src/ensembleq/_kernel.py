@@ -12,6 +12,9 @@ one site and ``subtract_at_sites`` subtracts one at every site, each in one
 indexed, in-place call.  ``partial_trace`` and ``site_view`` serve ``densmat``'s
 public functions, ``embed_at_site`` and the table's construction.
 
+``copies`` (every sum of weighted n-fold copies), ``holevo_bits`` and
+``marginal_residual`` are the one builder of each extension object.
+
 ``hermitize``, ``matrix_function`` and ``add_at_site`` act on each matrix of a
 ``(..., D, D)`` stack, and ``site_marginals`` on each of an ``(m, D, D)`` stack;
 a stacked call gives each member the same bits as its own call.
@@ -86,6 +89,29 @@ def kron_power(a: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.kron(out, a)
     return out
+
+
+def copies(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """sum_k w_k |v_k^(x)n><v_k^(x)n| over the columns v_k of ``v``, skipping w_k <= 0.
+
+    The terms are added one at a time in column order.
+    """
+    big = v.shape[0] ** n
+    out = np.zeros((big, big), dtype=complex)
+    for k in range(v.shape[1]):
+        if w[k] <= 0.0:
+            continue
+        vec = kron_power(v[:, k], n)
+        out += w[k] * np.outer(vec, vec.conj())
+    return out
+
+
+def holevo_bits(probs, mats) -> float:
+    """S(sum_i p_i m_i) - sum_i p_i S(m_i) in bits, over the terms with p_i > 0."""
+    avg = sum(p * m for p, m in zip(probs, mats))
+    return entropy_bits(avg) - sum(
+        p * entropy_bits(m) for p, m in zip(probs, mats) if p > 0.0
+    )
 
 
 def partial_trace(x: np.ndarray, dims: tuple, keep) -> np.ndarray:
@@ -180,6 +206,16 @@ def subtract_at_sites(x: np.ndarray, ops: np.ndarray, d: int, n: int) -> None:
     if not x.flags.c_contiguous:
         raise ValueError("subtract_at_sites needs a C-contiguous array")
     np.subtract.at(x.reshape(-1), site_index(d, n), ops[:, None])
+
+
+def marginal_residual(mats, targets, d: int, n: int) -> float:
+    """Largest Frobenius deviation of any single-site marginal from its target."""
+    # one norm per marginal: a stacked norm sums in another order
+    return max(
+        float(np.linalg.norm(r))
+        for m, t in zip(mats, targets)
+        for r in site_marginals(m, d, n) - t
+    )
 
 
 def bloch_vector(a: np.ndarray) -> np.ndarray:

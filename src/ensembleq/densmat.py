@@ -171,6 +171,22 @@ def _require_int(value, what: str) -> int:
     return k
 
 
+def _require_real(value, what: str) -> float:
+    """``value`` as a float, or InvalidInput unless it is a real number (no bool or str)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInput(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"{what} is too large for a float") from None
+
+
+def _real_array(rows, what: str) -> np.ndarray:
+    """Nested lists of real numbers as a float array of their shape, else InvalidInput."""
+    a = np.asarray(rows, dtype=object)
+    return np.array([_require_real(x, what) for x in a.ravel()], dtype=float).reshape(a.shape)
+
+
 def _as_profile(profile) -> DimensionProfile:
     if isinstance(profile, DimensionProfile):
         return profile
@@ -336,8 +352,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise InvalidInput(f"matrix JSON missing keys {sorted(missing)}")
     with malformed("matrix"):
         rows, cols = _require_int(obj["rows"], "rows"), _require_int(obj["cols"], "cols")
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re = _real_array(obj["re"], "matrix entry")
+        im = _real_array(obj["im"], "matrix entry")
     if rows < 1 or cols < 1:
         raise InvalidInput(f"matrix dimensions must be positive, got {rows}x{cols}")
     if re.shape != (rows, cols) or im.shape != (rows, cols):

@@ -1,10 +1,13 @@
-"""Ensembles of quantum states: Holevo quantity, broadcastability, flag construction."""
+"""Ensembles of quantum states: Holevo quantity, broadcastability, extension sets.
+
+``classical_broadcast`` builds the exact extension set of a commuting family;
+``_site_count`` is the site-count check of every extension entry point.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -14,29 +17,49 @@ from .densmat import (
     DimensionProfile,
     _require_finite,
     _require_int,
-    as_matrix,
+    _real_array,
     matrix_from_json,
     matrix_to_json,
-    von_neumann_entropy,
 )
-from .errors import InvalidInput, NumericalFailure, PreconditionViolated, malformed
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .extopt import ExtensionSet
+from .errors import InvalidInput, NumericalFailure, PreconditionViolated, ResourceLimit, malformed
 
 #: Default commutator-norm tolerance below which an ensemble counts as classical.
 COMMUTE_TOL = 1e-9
+#: Hard cap on the total extension dimension d**n.
+DIM_CAP = 64
+#: Feasibility tolerance for extension sets (max marginal deviation, Frobenius).
+FEAS_TOL = 1e-7
 
 __all__ = [
     "COMMUTE_TOL",
+    "DIM_CAP",
+    "FEAS_TOL",
     "Ensemble",
     "BroadcastReport",
+    "ExtensionSet",
     "shannon_entropy",
     "holevo",
     "is_broadcastable",
     "classical_broadcast",
     "build_flagged_state",
 ]
+
+
+def _require_probabilities(probs, what: str = "probability vector") -> np.ndarray:
+    """``probs`` as a float vector, or InvalidInput unless it is a probability vector.
+
+    That is a non-empty 1-D vector of finite real numbers, each at least
+    -1e-12, that sum to 1 within 1e-10.
+    """
+    p = _real_array(list(probs) if isinstance(probs, Iterator) else probs, what)
+    if p.ndim != 1 or p.size == 0:
+        raise InvalidInput(f"{what} must be a non-empty 1-D vector, got shape {p.shape}")
+    _require_finite(p, what)
+    if np.any(p < -1e-12):
+        raise InvalidInput(f"{what} has a negative entry {p.min():.3e}")
+    if abs(float(p.sum()) - 1.0) > 1e-10:
+        raise InvalidInput(f"{what} must sum to 1, got {p.sum():.12g}")
+    return p
 
 
 class Ensemble:
@@ -50,27 +73,16 @@ class Ensemble:
         members = list(members)
         if not members:
             raise InvalidInput("ensemble must have at least one member")
-        probs = []
-        states = []
-        for p, rho in members:
-            p = float(p)
-            if not math.isfinite(p):
-                raise InvalidInput(f"probability must be finite, got {p}")
-            if p < -1e-12:
-                raise InvalidInput(f"negative probability {p}")
-            if not isinstance(rho, DensityMatrix):
-                rho = DensityMatrix(rho)
-            probs.append(max(p, 0.0))
-            states.append(rho)
+        probs = _require_probabilities([p for p, _ in members], "ensemble probabilities")
+        states = tuple(
+            rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho) for _, rho in members
+        )
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise InvalidInput(f"all members must share one dimension, got {sorted(dims)}")
-        total = sum(probs)
-        if abs(total - 1.0) > 1e-10:
-            raise InvalidInput(f"probabilities must sum to 1, got {total:.12g}")
-        self._probs = np.asarray(probs, dtype=float)
+        self._probs = np.clip(probs, 0.0, None)
         self._probs.setflags(write=False)
-        self._states = tuple(states)
+        self._states = states
 
     @property
     def probs(self) -> np.ndarray:
@@ -115,7 +127,7 @@ class Ensemble:
             for m in members:
                 if "state" not in m:
                     raise InvalidInput("ensemble member missing 'state'")
-                p = float(m["p"]) if all(have_p) else 1.0 / len(members)
+                p = m["p"] if all(have_p) else 1.0 / len(members)
                 pairs.append((p, DensityMatrix(matrix_from_json(m["state"]))))
             ens = cls(pairs)
             if "dim" in obj and _require_int(obj["dim"], "dim") != ens.dim:
@@ -150,25 +162,14 @@ class BroadcastReport:
 
 def shannon_entropy(probs: Iterable[float]) -> float:
     """Shannon entropy in bits of a probability vector."""
-    p = np.asarray(list(probs), dtype=float)
-    if p.size == 0:
-        raise InvalidInput("probability vector must be non-empty")
-    _require_finite(p, "probability vector")
-    if np.any(p < -1e-12):
-        raise InvalidInput("probabilities must be nonnegative")
-    if abs(float(p.sum()) - 1.0) > 1e-10:
-        raise InvalidInput(f"probabilities must sum to 1, got {p.sum():.12g}")
+    p = _require_probabilities(probs)
     p = p[p > 0.0]
     return max(float(-(p * np.log2(p)).sum()), 0.0)
 
 
 def holevo(e: Ensemble) -> float:
     """Holevo quantity chi = S(avg) - sum_i p_i S(rho_i), in bits."""
-    avg = e.average_state()
-    chi = von_neumann_entropy(avg) - sum(
-        p * von_neumann_entropy(s) for p, s in e if p > 0.0
-    )
-    return max(chi, 0.0)
+    return max(_k.holevo_bits(e.probs, [s.mat for s in e.states]), 0.0)
 
 
 def is_broadcastable(e: Ensemble, tol: float = COMMUTE_TOL) -> BroadcastReport:
@@ -215,34 +216,92 @@ def _simultaneous_eigenbasis(states: Sequence[np.ndarray], tol: float = 1e-8) ->
     raise NumericalFailure("failed to find a simultaneous eigenbasis")
 
 
-def classical_broadcast(e: Ensemble, n: int) -> "ExtensionSet":
+def _site_count(n, d: int) -> int:
+    """``n`` as an int, or InvalidInput unless it counts at least 2 sites.
+
+    Raises ResourceLimit when d**n exceeds DIM_CAP, without forming d**n
+    for more sites than DIM_CAP has bits.
+    """
+    n = _require_int(n, "site count")
+    if n < 2:
+        raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
+    if d ** min(n, DIM_CAP.bit_length()) > DIM_CAP:
+        raise ResourceLimit(f"extension dimension {d}**{n} exceeds the cap {DIM_CAP}")
+    return n
+
+
+class ExtensionSet:
+    """n-site extensions of ensemble members with all marginals pinned.
+
+    Invariant: for every member and every site, the single-site marginal of
+    the extension matches the member's target state within FEAS_TOL.
+    """
+
+    def __init__(self, n: int, local_dim: int,
+                 extensions: Sequence[DensityMatrix],
+                 target_marginals: Sequence[DensityMatrix]):
+        local_dim = _require_int(local_dim, "local dimension")
+        if local_dim < 2:
+            raise InvalidInput(f"local dimension must be at least 2, got {local_dim}")
+        n = _site_count(n, local_dim)
+        extensions = tuple(
+            e if isinstance(e, DensityMatrix) else DensityMatrix(e) for e in extensions
+        )
+        targets = tuple(
+            t if isinstance(t, DensityMatrix) else DensityMatrix(t)
+            for t in target_marginals
+        )
+        if not extensions or len(extensions) != len(targets):
+            raise InvalidInput("extensions and targets must pair up one-to-one")
+        big = local_dim**n
+        if any(e.dim != big for e in extensions):
+            raise InvalidInput(f"every extension must have dimension {big}")
+        if any(t.dim != local_dim for t in targets):
+            raise InvalidInput(f"every target must have dimension {local_dim}")
+        self.n = n
+        self.local_dim = local_dim
+        self.extensions = extensions
+        self.target_marginals = targets
+        resid = self.feasibility_residual()
+        if resid > FEAS_TOL:
+            raise InvalidInput(
+                f"marginal deviation {resid:.3e} exceeds feasibility tolerance {FEAS_TOL:.1e}"
+            )
+
+    @property
+    def member_count(self) -> int:
+        return len(self.extensions)
+
+    def feasibility_residual(self) -> float:
+        """Largest Frobenius deviation of any single-site marginal from its target."""
+        return _k.marginal_residual(
+            [e.mat for e in self.extensions],
+            [t.mat for t in self.target_marginals],
+            self.local_dim, self.n,
+        )
+
+
+def classical_broadcast(e: Ensemble, n: int) -> ExtensionSet:
     """Exact n-fold broadcast of a commuting ensemble.
 
     In the common eigenbasis {|k>}, each member rho_i maps to
     sum_k <k|rho_i|k> |k...k><k...k| on n sites; every single-site marginal
     reproduces rho_i exactly.
     """
-    from .extopt import ExtensionSet  # local import to avoid a module cycle
-
-    n = _require_int(n, "site count")
-    if n < 2:
-        raise InvalidInput(f"broadcast needs at least 2 sites, got n={n}")
+    d, n = e.dim, _site_count(n, e.dim)
     report = is_broadcastable(e)
     if not report:
         raise PreconditionViolated(
             f"ensemble is not broadcastable: max commutator norm "
             f"{report.max_commutator_norm:.3e} at pair {report.worst_pair}"
         )
-    d = e.dim
     basis = _simultaneous_eigenbasis([s.mat for s in e.states])
-    copies = np.array([_k.kron_power(basis[:, k], n) for k in range(d)])
     extensions = []
     for s in e.states:
         weights = np.real(np.einsum("ik,ij,jk->k", basis.conj(), s.mat, basis))
         weights = np.clip(weights, 0.0, None)
         weights = weights / weights.sum()
-        ext = (copies.T * weights) @ copies.conj()
-        extensions.append(DensityMatrix(_k.hermitize(ext)))
+        extensions.append(DensityMatrix(_k.hermitize(_k.copies(weights, basis, n))))
     return ExtensionSet(
         n=n,
         local_dim=d,
@@ -251,20 +310,18 @@ def classical_broadcast(e: Ensemble, n: int) -> "ExtensionSet":
     )
 
 
-def build_flagged_state(exts: "ExtensionSet", probs: Iterable[float]):
+def build_flagged_state(exts: ExtensionSet, probs: Iterable[float]):
     """Attach an orthogonal flag register to a set of extensions.
 
     Returns ``(state, profile)`` where the state is
     sum_i p_i |i><i| (x) ext_i and the profile is (members, d, ..., d) with
     the flag register as site 0.
     """
-    p = np.asarray(list(probs), dtype=float)
+    p = _require_probabilities(probs, "flag probabilities")
     if p.size != len(exts.extensions):
         raise InvalidInput(
             f"got {p.size} probabilities for {len(exts.extensions)} extensions"
         )
-    if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-10:
-        raise InvalidInput("flag probabilities must be nonnegative and sum to 1")
     m = p.size
     big = exts.extensions[0].dim
     out = np.zeros((m * big, m * big), dtype=complex)

@@ -29,32 +29,32 @@ and Borwein, J. Approx. Theory 79, 418 (1994)) and further iterations change
 nothing.  A plateau above FEAS_TOL still fails the projection.
 
 The entropic refine runs its relative-entropy projections on all free
-members at once, as one stack of matrices.
+members at once, as one stack of matrices, and returns snapped points.
+
+Extension sets, FEAS_TOL, DIM_CAP and the site-count check live in
+``ensemble`` beside the classical broadcast, and are re-exported here.  The
+shared driver takes each objective as two plain functions: value and solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernel as _k
-from .densmat import DensityMatrix, as_matrix, _require_finite, _require_int
-from .ensemble import Ensemble, classical_broadcast, holevo, is_broadcastable
+from .densmat import DensityMatrix, as_matrix, _require_finite, _require_int, _require_real
+from .ensemble import (DIM_CAP, FEAS_TOL, Ensemble, ExtensionSet, _site_count,
+                       classical_broadcast, holevo, is_broadcastable, shannon_entropy)
 from .errors import (
     InvalidInput,
     NumericalFailure,
     PreconditionViolated,
-    ResourceLimit,
     malformed,
 )
 
-#: Hard cap on the total extension dimension d**n.
-DIM_CAP = 64
-#: Feasibility tolerance for extension sets (max marginal deviation, Frobenius).
-FEAS_TOL = 1e-7
 #: Armijo sufficient-decrease constant.
 ARMIJO_C = 1e-4
 #: Projected-gradient-mapping norm below which a run counts as converged.
@@ -112,59 +112,6 @@ __all__ = [
 ]
 
 
-class ExtensionSet:
-    """n-site extensions of ensemble members with all marginals pinned.
-
-    Invariant: for every member and every site, the single-site marginal of
-    the extension matches the member's target state within FEAS_TOL.
-    """
-
-    def __init__(self, n: int, local_dim: int,
-                 extensions: Sequence[DensityMatrix],
-                 target_marginals: Sequence[DensityMatrix]):
-        n = _require_int(n, "site count")
-        local_dim = _require_int(local_dim, "local dimension")
-        if n < 2:
-            raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
-        if local_dim < 2:
-            raise InvalidInput(f"local dimension must be at least 2, got {local_dim}")
-        extensions = tuple(
-            e if isinstance(e, DensityMatrix) else DensityMatrix(e) for e in extensions
-        )
-        targets = tuple(
-            t if isinstance(t, DensityMatrix) else DensityMatrix(t)
-            for t in target_marginals
-        )
-        if not extensions or len(extensions) != len(targets):
-            raise InvalidInput("extensions and targets must pair up one-to-one")
-        big = local_dim**n
-        if any(e.dim != big for e in extensions):
-            raise InvalidInput(f"every extension must have dimension {big}")
-        if any(t.dim != local_dim for t in targets):
-            raise InvalidInput(f"every target must have dimension {local_dim}")
-        self.n = n
-        self.local_dim = local_dim
-        self.extensions = extensions
-        self.target_marginals = targets
-        resid = self.feasibility_residual()
-        if resid > FEAS_TOL:
-            raise InvalidInput(
-                f"marginal deviation {resid:.3e} exceeds feasibility tolerance {FEAS_TOL:.1e}"
-            )
-
-    @property
-    def member_count(self) -> int:
-        return len(self.extensions)
-
-    def feasibility_residual(self) -> float:
-        """Largest Frobenius deviation of any single-site marginal from its target."""
-        return _marginal_residual(
-            [e.mat for e in self.extensions],
-            [t.mat for t in self.target_marginals],
-            self.local_dim, self.n,
-        )
-
-
 @dataclass(frozen=True)
 class QuantumnessReport:
     """Result of one quantumness optimization.
@@ -215,17 +162,17 @@ class QuantumnessReport:
         with malformed("report"):
             try:
                 converged, restarts = obj["converged"], obj["restarts"]
-                if not isinstance(converged, bool) or not isinstance(restarts, list) or any(
-                        isinstance(v, bool) or not isinstance(v, (int, float)) for v in restarts):
-                    raise InvalidInput("report needs boolean 'converged', numeric 'restarts'")
+                if not isinstance(converged, bool) or not isinstance(restarts, list):
+                    raise InvalidInput("report needs boolean 'converged', a 'restarts' list")
                 return cls(
-                    value=float(obj["value"]),
-                    objective_at_optimum=float(obj["objective"]),
-                    baseline=float(obj["baseline"]),
-                    feasibility_residual=float(obj["feasibility_residual"]),
+                    value=_require_real(obj["value"], "report value"),
+                    objective_at_optimum=_require_real(obj["objective"], "report objective"),
+                    baseline=_require_real(obj["baseline"], "report baseline"),
+                    feasibility_residual=_require_real(
+                        obj["feasibility_residual"], "report feasibility_residual"),
                     iterations=_require_int(obj["iterations"], "report iterations"),
                     converged=converged,
-                    restart_values=tuple(float(v) for v in restarts),
+                    restart_values=tuple(_require_real(v, "report restart") for v in restarts),
                 )
             except KeyError as exc:
                 raise InvalidInput(f"report JSON missing key {exc.args[0]!r}") from exc
@@ -238,17 +185,6 @@ class QuantumnessReport:
 # ---------------------------------------------------------------------------
 # feasible-set projections
 # ---------------------------------------------------------------------------
-
-def _marginal_residual(mats: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                       d: int, n: int) -> float:
-    """Largest Frobenius deviation of any single-site marginal from its target."""
-    # one norm per marginal: a stacked norm sums in another order
-    return max(
-        float(np.linalg.norm(r))
-        for m, t in zip(mats, targets)
-        for r in _k.site_marginals(m, d, n) - t
-    )
-
 
 def _project_affine(x: np.ndarray, target: np.ndarray, target_trace: complex,
                     d: int, n: int) -> np.ndarray:
@@ -319,8 +255,7 @@ def _scaling_iproject(log_sigma: np.ndarray, log_targets: np.ndarray, d: int, n:
 
 
 def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                     probs: np.ndarray, d: int, n: int,
-                     certificate: Callable[[list[np.ndarray]], float]):
+                     probs: np.ndarray, d: int, n: int):
     """Alternating minimization of the extension-chi objective.
 
     Alternates the two closed-form block minimizations of
@@ -331,15 +266,16 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     sublinear crawl of Euclidean steps, and every iterate stays feasible up
     to what SCALING_SWEEPS sweeps leave.
 
-    ``certificate(E) -> float`` (a stationarity-certificate norm) is
-    consulted once the objective stabilizes.  Near boundary minimizers the
-    objective flattens out many rounds before the iterate settles, so the stop
-    rule watches the certificate, not the objective: refinement continues
-    while the certificate keeps contracting, and stops once it passes or
-    stalls, or after REFINE_ROUNDS rounds.
+    The stationarity certificate (the projected-gradient mapping norm at the
+    snapped iterate, see _chi_certificate) is consulted once the objective
+    stabilizes.  Near boundary minimizers the objective flattens out many
+    rounds before the iterate settles, so the stop rule watches the
+    certificate, not the objective: refinement continues while the
+    certificate keeps contracting, and stops once it passes or stalls, or
+    after REFINE_ROUNDS rounds.
 
-    Returns the refined extensions and the certificate norm at exactly those
-    extensions.
+    Returns the snapped refined extensions and the certificate norm at
+    exactly those points.
     """
     # a pure target admits exactly one feasible extension; its block update
     # is that point itself, and exponential-form scaling cannot represent it
@@ -370,12 +306,19 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
             # a meaningful number of rounds rather than round-to-round noise
             if since_check < 25 and np.isfinite(last_pg):
                 continue
-            pg = certificate(E)
+            snapped, pg = _chi_certificate(E, probs, targets, d, n)
             since_check = 0
             if pg <= 0.5 * PG_TOL or pg > 0.9 * last_pg:
-                return E, pg  # certified, or stalled
+                return snapped, pg  # certified, or stalled
             last_pg = pg
-    return E, certificate(E)
+    return _chi_certificate(E, probs, targets, d, n)
+
+
+def _chi_certificate(E: Sequence[np.ndarray], probs: np.ndarray,
+                     targets: Sequence[np.ndarray], d: int, n: int):
+    """The snapped extensions and the projected-gradient mapping norm of chi there."""
+    snapped = [_snap_small(e) for e in E]
+    return snapped, _pg_mapping_norm(snapped, chi_gradient(snapped, probs), targets, d, n)
 
 
 def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
@@ -387,10 +330,7 @@ def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
     directly.
     """
     psi = _k.pure_vector(target)
-    if psi is None:
-        return None
-    vec = _k.kron_power(psi, n)
-    return np.outer(vec, vec.conj())
+    return None if psi is None else _k.copies(np.ones(1), psi[:, None], n)
 
 
 def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
@@ -419,7 +359,7 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
         b = a + q if face is None else face @ (a + q) @ face
         y = _project_psd(b)
         q = a + q - y
-        resid = _marginal_residual([y], [target], d, n)
+        resid = _k.marginal_residual([y], [target], d, n)
         if resid <= DYKSTRA_TOL:
             return y
         resids.append(resid)
@@ -438,7 +378,7 @@ def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
     """Project a Hermitian matrix onto the feasible set of ``target``'s extensions."""
     if not isinstance(target, DensityMatrix):
         target = DensityMatrix(target)
-    d, n = target.dim, _require_int(n, "site count")
+    d, n = target.dim, _site_count(n, target.dim)
     a = _require_finite(as_matrix(x))
     if a.shape != (d**n, d**n):
         raise InvalidInput(
@@ -456,11 +396,7 @@ def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
 
 def chi_objective(extensions: Sequence[np.ndarray], probs: Sequence[float]) -> float:
     """Holevo quantity of the extension ensemble (raw matrices, no validation)."""
-    probs = np.asarray(probs, dtype=float)
-    avg = sum(p * as_matrix(e) for p, e in zip(probs, extensions))
-    return _k.entropy_bits(avg) - sum(
-        p * _k.entropy_bits(as_matrix(e)) for p, e in zip(probs, extensions) if p > 0.0
-    )
+    return _k.holevo_bits(np.asarray(probs, dtype=float), [as_matrix(e) for e in extensions])
 
 
 def chi_gradient(extensions: Sequence[np.ndarray], probs: Sequence[float]) -> list[np.ndarray]:
@@ -498,33 +434,13 @@ def _fidelity_mono_gradient(a: np.ndarray, b: np.ndarray,
     return [-g for g in grads]
 
 
-class _Objective(NamedTuple):
-    """A monotone minimized over joint extension sets, with its local solver.
-
-    ``local(x0, targets, obj, d, n)`` runs from one snapped feasible start
-    and returns ``(x, fx, iterations, converged)``.
-    """
-
-    value: Callable[[list[np.ndarray]], float]
-    gradient: Callable[[list[np.ndarray]], list[np.ndarray]]
-    local: Callable[..., tuple]
-
-
 # ---------------------------------------------------------------------------
 # local solvers and the shared driver
 # ---------------------------------------------------------------------------
 
 def _classical_copy(rho: np.ndarray, n: int) -> np.ndarray:
     """sum_k lambda_k |k...k><k...k| in the state's own eigenbasis (always feasible)."""
-    w, v = np.linalg.eigh(_k.hermitize(rho))
-    d = rho.shape[0]
-    big = d**n
-    out = np.zeros((big, big), dtype=complex)
-    for k in range(d):
-        if w[k] <= 0.0:
-            continue
-        vec = _k.kron_power(v[:, k], n)
-        out += w[k] * np.outer(vec, vec.conj())
+    out = _k.copies(*np.linalg.eigh(_k.hermitize(rho)), n)
     return out / np.trace(out).real
 
 
@@ -584,21 +500,20 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     return best
 
 
-def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-             obj: _Objective, d: int, n: int):
+def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray], d: int, n: int,
+             convention: str):
     """fidelity_q's local solver: projected gradient descent with Armijo backtracking.
 
     Returns ``(x, fx, iterations, converged)`` where ``converged`` certifies a
     projected-gradient-mapping norm at most PG_TOL.
     """
-    f, grad = obj.value, obj.gradient
     x = list(x0)
-    fx = f(x)
+    fx = _fidelity_mono_objective(*x, convention)
     step = STEP_INIT
     stall = 0
     pg_norm = np.inf
     for iters in range(1, DESCENT_STEPS + 1):
-        g = grad(x)
+        g = _fidelity_mono_gradient(*x, convention)
         pg_norm = _pg_mapping_norm(x, g, targets, d, n)
         if pg_norm <= PG_TOL:
             return x, fx, iters, True
@@ -614,7 +529,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
                 # trial too far from the feasible set to project; back off
                 s *= STEP_SHRINK
                 continue
-            ft = f(trial)
+            ft = _fidelity_mono_objective(*trial, convention)
             decrease = sum(
                 float(np.real(np.vdot(gi, ti - xi)))
                 for gi, ti, xi in zip(g, trial, x)
@@ -640,7 +555,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
 
 
 def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                        obj: _Objective, d: int, n: int, probs: np.ndarray):
+                        d: int, n: int, probs: np.ndarray):
     """chi_q's local solver: the entropic refine, then its certificate.
 
     The certificate is the projected-gradient mapping norm at the snapped
@@ -650,24 +565,19 @@ def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
     SAT_TOL, or by the uncertified start if the projection fails; every
     reported value is attained at a feasible point.
     """
-    def certificate(es):
-        snapped = [_snap_small(e) for e in es]
-        return _pg_mapping_norm(snapped, obj.gradient(snapped), targets, d, n)
-
-    E, pg = _entropic_refine(x0, targets, probs, d, n, certificate)
-    x = [_snap_small(e) for e in E]
-    fx = obj.value(x)
+    x, pg = _entropic_refine(x0, targets, probs, d, n)
+    fx = chi_objective(x, probs)
     conv = pg <= PG_TOL
     if conv:
         x, fx, conv = _chi_face_check(x, fx, probs, targets, n)
-    if _marginal_residual(x, targets, d, n) > FEAS_TOL:
+    if _k.marginal_residual(x, targets, d, n) > FEAS_TOL:
         # the refine's last scaling round can end a little off the marginal
         # set, and a refine that cycles can end far from it
         try:
             y = [_snap_small(_dykstra(xi, t, d, n)) for xi, t in zip(x, targets)]
         except NumericalFailure:
-            return list(x0), obj.value(x0), 1, False
-        fy = obj.value(y)
+            return list(x0), chi_objective(x0, probs), 1, False
+        fy = chi_objective(y, probs)
         x, fx, conv = y, fy, conv and abs(fy - fx) <= SAT_TOL
     return x, fx, 1, conv
 
@@ -704,9 +614,13 @@ def _chi_face_check(x: Sequence[np.ndarray], fx: float, probs: np.ndarray,
     return x, fx, True
 
 
-def _optimize_extensions(e: Ensemble, n: int, obj: _Objective,
-                         baseline: float) -> QuantumnessReport:
-    """Minimize ``obj`` over joint n-site extensions of ``e``'s members.
+def _optimize_extensions(e: Ensemble, n: int, baseline: float, value,
+                         local) -> QuantumnessReport:
+    """Minimize ``value`` over joint n-site extensions of ``e``'s members.
+
+    ``value(x)`` is the objective on a list of extensions, and
+    ``local(x0, targets, d, n)`` its local solver: it runs from one snapped
+    feasible start and returns ``(x, fx, iterations, converged)``.
 
     ``baseline`` is the objective on the members themselves, a proven lower
     bound over the feasible set; the report's value is the gap above it.
@@ -717,25 +631,19 @@ def _optimize_extensions(e: Ensemble, n: int, obj: _Objective,
     to their product extensions; a commuting family is reported at its
     classical broadcast.
     """
-    d, n = e.dim, _require_int(n, "site count")
-    if n < 2:
-        raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
-    if d**n > DIM_CAP:
-        raise ResourceLimit(
-            f"extension dimension {d}**{n} = {d**n} exceeds the cap {DIM_CAP}"
-        )
+    d, n = e.dim, _site_count(n, e.dim)
     targets = [s.mat for s in e.states]
     if all(_k.is_pure(t) for t in targets):
         # a pure marginal forces the product extension: the feasible set is a point
         x = [_k.kron_power(t, n) for t in targets]
-        fx, iters, conv = obj.value(x), 0, True
+        fx, iters, conv = value(x), 0, True
     else:
         if is_broadcastable(e):
             x = [_snap_small(ext.mat) for ext in classical_broadcast(e, n).extensions]
-            fx, iters, conv = obj.value(x), 0, False
+            fx, iters, conv = value(x), 0, False
         else:
             x0 = [_snap_small(_interior_start(t, n)) for t in targets]
-            x, fx, iters, conv = obj.local(x0, targets, obj, d, n)
+            x, fx, iters, conv = local(x0, targets, d, n)
         # values more than 1e-7 below the proven floor signal broken numerics
         # and must not be certified (they fail the report's sanity checks)
         if baseline - 1e-7 <= fx <= baseline + SAT_TOL:
@@ -744,7 +652,7 @@ def _optimize_extensions(e: Ensemble, n: int, obj: _Objective,
         value=max(fx - baseline, 0.0),
         objective_at_optimum=fx,
         baseline=baseline,
-        feasibility_residual=_marginal_residual(x, targets, d, n),
+        feasibility_residual=_k.marginal_residual(x, targets, d, n),
         iterations=iters,
         converged=conv,
         restart_values=(fx,),
@@ -760,11 +668,8 @@ def chi_q(e: Ensemble, n: int) -> QuantumnessReport:
     otherwise.
     """
     probs = e.probs
-    obj = _Objective(
-        lambda xs: chi_objective(xs, probs), lambda xs: chi_gradient(xs, probs),
-        partial(_refine_and_certify, probs=probs),
-    )
-    return _optimize_extensions(e, n, obj, holevo(e))
+    return _optimize_extensions(e, n, holevo(e), partial(chi_objective, probs=probs),
+                                partial(_refine_and_certify, probs=probs))
 
 
 def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
@@ -782,20 +687,15 @@ def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
         sigma = DensityMatrix(sigma)
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    obj = _Objective(
-        lambda xs: _fidelity_mono_objective(xs[0], xs[1], convention),
-        lambda xs: _fidelity_mono_gradient(xs[0], xs[1], convention),
-        _descend,
-    )
     baseline = _fidelity_mono_objective(rho.mat, sigma.mat, convention)
     pair = Ensemble([(0.5, rho), (0.5, sigma)])
-    return _optimize_extensions(pair, n, obj, baseline)
+    return _optimize_extensions(pair, n, baseline,
+                                lambda xs: _fidelity_mono_objective(*xs, convention),
+                                partial(_descend, convention=convention))
 
 
 def chi_q_infinite_pure(e: Ensemble) -> float:
     """Infinite-copy limit of chi_q for pure-state ensembles: H({p_i}) - chi(e)."""
-    from .ensemble import shannon_entropy
-
     if not all(_k.is_pure(s.mat) for s in e.states):
         raise PreconditionViolated(
             "the infinite-copy closed form only applies to pure-state ensembles"

@@ -369,6 +369,13 @@ def test_exit_code_on_resource_limit(tmp_path):
     assert run(["acc-info", str(path)]) == 4
 
 
+def test_chi_q_exits_on_resource_limit_for_a_huge_site_count(capsys, zero_plus_file):
+    # 2**20000 has more digits than int-to-str conversion allows, so the cap
+    # must be checked without forming it, let alone printing it
+    assert run(["chi-q", zero_plus_file, "--n", "20000"]) == 4
+    assert "resource limit" in capsys.readouterr().err
+
+
 def test_exit_code_on_numerical_failure(monkeypatch, zero_plus_file):
     import ensembleq.cli as cli_mod
 

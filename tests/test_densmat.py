@@ -435,6 +435,15 @@ def test_matrix_json_rejects_malformed():
     for rows, cols in ((2.5, 2), (2, "2")):
         with pytest.raises(InvalidInput):
             matrix_from_json({"rows": rows, "cols": cols, **square})
+    # entries must be real numbers, not strings, booleans, complex or nested lists
+    for key, entry in (("re", "1"), ("re", True), ("im", "0"), ("im", False),
+                       ("re", 1j), ("re", [1])):
+        bad = {"rows": 2, "cols": 2, **square}
+        bad[key] = [[entry, 0], [0, 1]]
+        with pytest.raises(InvalidInput):
+            matrix_from_json(bad)
+    with pytest.raises(InvalidInput):
+        matrix_from_json({"rows": 2, "cols": 2, "re": [[1, 0], [0]], "im": square["im"]})
 
 
 def test_dimension_profile_invariants():

@@ -1,8 +1,12 @@
 """Ensemble container, Holevo quantity, broadcastability, flagged states."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import ensembleq
 from ensembleq.densmat import (
     DensityMatrix,
     DimensionProfile,
@@ -19,7 +23,13 @@ from ensembleq.ensemble import (
     shannon_entropy,
 )
 from ensembleq.errors import InvalidInput, PreconditionViolated
-from ensembleq.rand import random_commuting_states, random_density_matrix, random_kraus
+from ensembleq.extopt import chi_objective
+from ensembleq.rand import (
+    random_commuting_states,
+    random_density_matrix,
+    random_kraus,
+    random_pure_state,
+)
 from ensembleq.recovery import Channel, orthogonal_pair_example
 
 KET0 = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -61,6 +71,18 @@ def test_ensemble_rejects_non_finite_probabilities(p):
         Ensemble([(p, KET0), (1.0, PLUS)])
 
 
+def test_ensemble_requires_numeric_probabilities():
+    # each of these sums to 1 once converted, but is not a vector of numbers
+    for probs in (("0.5", "0.5"), (True, 0.0), (0.5, "0.5")):
+        with pytest.raises(InvalidInput):
+            Ensemble(list(zip(probs, (KET0, PLUS))))
+        blob = zero_plus().to_json()
+        for member, p in zip(blob["members"], probs):
+            member["p"] = p
+        with pytest.raises(InvalidInput):
+            Ensemble.from_json(blob)
+
+
 def test_ensemble_rejects_dimension_mismatch():
     with pytest.raises(InvalidInput):
         Ensemble([(0.5, KET0), (0.5, DensityMatrix(np.eye(3) / 3))])
@@ -99,6 +121,14 @@ def test_ensemble_json_rejects_a_non_integral_dim():
 # shannon_entropy and holevo
 # ---------------------------------------------------------------------------
 
+def test_shannon_entropy_requires_a_flat_vector_of_numbers():
+    for bad in (["a"], [[0.5], [0.5]], [True], ["1"], [], 0.5, [1j]):
+        with pytest.raises(InvalidInput):
+            shannon_entropy(bad)
+    assert shannon_entropy(iter([0.5, 0.5])) == pytest.approx(1.0, abs=1e-12)
+    assert shannon_entropy(np.array([0.25, 0.75])) == shannon_entropy([0.25, 0.75])
+
+
 def test_shannon_entropy_examples():
     assert shannon_entropy([1.0]) == 0.0
     assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
@@ -132,6 +162,18 @@ def test_holevo_zero_plus_oracle():
     val = holevo(zero_plus())
     assert val == pytest.approx(0.6009, abs=1e-3)
     assert val == pytest.approx(HOLEVO_ZERO_PLUS, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_holevo_is_the_clipped_chi_objective(seed):
+    # one Holevo sum serves both: holevo clips it at zero, chi_objective does not
+    psi = random_pure_state(3, seed=400 + seed)
+    mats = [random_density_matrix(3, seed=410 + 2 * seed),
+            random_density_matrix(3, seed=411 + 2 * seed), np.outer(psi, psi.conj())]
+    for members in (mats, mats[:2], [mats[2], mats[2]]):
+        probs = np.full(len(members), 1.0 / len(members))
+        e = Ensemble([(p, DensityMatrix(m)) for p, m in zip(probs, members)])
+        assert holevo(e) == max(chi_objective([s.mat for s in e.states], e.probs), 0.0)
 
 
 def test_holevo_equals_average_relative_entropy():
@@ -320,3 +362,30 @@ def test_flagged_state_rejects_bad_probabilities():
         build_flagged_state(exts, [0.5])
     with pytest.raises(InvalidInput):
         build_flagged_state(exts, [0.7, 0.7])
+    with pytest.raises(InvalidInput, match="flag probabilities"):
+        build_flagged_state(exts, [float("nan"), 1.0])
+    single = classical_broadcast(Ensemble([(1.0, KET0)]), 2)
+    for bad in (["1"], [True], [[1.0]]):
+        with pytest.raises(InvalidInput):
+            build_flagged_state(single, bad)
+
+
+def test_package_imports_only_at_module_level():
+    # extension sets live in ensemble, so ensemble never needs extopt: no
+    # import cycle, no deferred imports and no type-checking-only imports
+    for path in sorted(pathlib.Path(ensembleq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not [sub for sub in ast.walk(node)
+                            if isinstance(sub, (ast.Import, ast.ImportFrom))], (
+                    f"{path.name}: {node.name} imports inside its body")
+            if isinstance(node, ast.If):
+                assert "TYPE_CHECKING" not in ast.unparse(node.test), path.name
+        if path.name == "ensemble.py":
+            imported = [alias.name for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for alias in node.names]
+            imported += [node.module for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module]
+            assert not [name for name in imported if "extopt" in name], imported

@@ -6,6 +6,7 @@ import pytest
 from ensembleq.densmat import DensityMatrix, partial_trace, von_neumann_entropy
 from ensembleq.ensemble import Ensemble, classical_broadcast, holevo
 from ensembleq import _kernel, extopt
+from ensembleq._kernel import marginal_residual
 from ensembleq.accinfo import OptimizerConfig
 from ensembleq.errors import (
     InvalidInput,
@@ -28,7 +29,6 @@ from ensembleq.extopt import (
     chi_q_infinite_pure,
     fidelity_q,
     _dykstra,
-    _marginal_residual,
     _project_affine,
     _project_psd,
     _pure_target_point,
@@ -134,6 +134,29 @@ def test_site_counts_must_be_integral():
     assert chi_q(e, 2.0) == chi_q(e, 2)
     assert fidelity_q(rho, sigma, 2.0) == fidelity_q(rho, sigma, 2)
     assert classical_broadcast(e, 2.0).n == 2
+
+
+def _mixed(n: int) -> np.ndarray:
+    """The maximally mixed state of n qubits, built for at most 7 of them."""
+    return np.eye(2 ** min(n, 7)) / 2 ** min(n, 7)
+
+
+SITE_COUNT_ENTRY_POINTS = {
+    "chi_q": lambda n: chi_q(seed_pair(), n),
+    "fidelity_q": lambda n: fidelity_q(KET0, PLUS, n),
+    "project_feasible": lambda n: project_feasible(_mixed(n), PLUS, n),
+    "classical_broadcast": lambda n: classical_broadcast(commuting_ensemble(seed=41), n),
+    "ExtensionSet": lambda n: ExtensionSet(n, 2, [_mixed(n)], [_mixed(1)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SITE_COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("n, error", [(0, InvalidInput), (1, InvalidInput),
+                                      (7, ResourceLimit), (20000, ResourceLimit)])
+def test_site_counts_are_checked_against_the_cap(entry, n, error):
+    # at d = 2 the cap admits 2..6 sites; 2**20000 must never be formed
+    with pytest.raises(error):
+        SITE_COUNT_ENTRY_POINTS[entry](n)
 
 
 def test_extension_set_accepts_feasible_members():
@@ -265,7 +288,7 @@ def test_dykstra_plateau_stop_matches_the_full_loop(monkeypatch):
             q = a + q - ref
         # the face misses the marginal set by a rounding-scale gap: the full
         # loop never meets the 1e-9 stop test, and ends feasible all the same
-        assert 1e-9 < _marginal_residual([ref], [target], 2, 2) <= FEAS_TOL
+        assert 1e-9 < marginal_residual([ref], [target], 2, 2) <= FEAS_TOL
         calls = _count_affine_projections(monkeypatch)
         y = _dykstra(x, target, 2, 2, face=face)
         monkeypatch.undo()
@@ -344,7 +367,8 @@ def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
     r = chi_q(e, 2)
     # one stack holding the two mixed members, never the pure one
     assert refined and set(stacks) == {(2, 2, 2)}
-    point = _pure_target_point(states[0], 2)
+    # the refine returns snapped points, so the pinned member comes back snapped
+    point = extopt._snap_small(_pure_target_point(states[0], 2))
     for extensions in refined:
         assert np.array_equal(extensions[0], point)
     assert r.converged and r.feasibility_residual <= FEAS_TOL and r.value > 0.0
@@ -353,6 +377,30 @@ def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
 # ---------------------------------------------------------------------------
 # objective and gradient
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, n, seed", [(2, 2, 51), (2, 3, 52), (3, 2, 53), (2, 4, 54)])
+def test_copies_reproduce_the_copy_builders_they_replace(d, n, seed):
+    rho = random_density_matrix(d, seed=seed)
+    w, v = np.linalg.eigh(_kernel.hermitize(rho))
+    vecs = [_kernel.kron_power(v[:, k], n) for k in range(d)]
+    # the classical copy: one eigenvector term at a time, in column order
+    loop = np.zeros((d**n, d**n), dtype=complex)
+    for k in range(d):
+        if w[k] > 0.0:
+            loop += w[k] * np.outer(vecs[k], vecs[k].conj())
+    assert np.array_equal(extopt._classical_copy(rho, n), loop / np.trace(loop).real)
+    # the pure target point: one outer product of the top eigenvector's power
+    psi = random_pure_state(d, seed=seed)
+    pure = np.outer(psi, psi.conj())
+    top = _kernel.kron_power(_kernel.pure_vector(pure), n)
+    assert np.array_equal(_pure_target_point(pure, n), np.outer(top, top.conj()))
+    # the classical broadcast summed all d terms in one matmul, zero weights too
+    weights = np.clip(w, 0.0, None)
+    weights[0] = 0.0
+    stacked = np.array(vecs)
+    matmul = (stacked.T * weights) @ stacked.conj()
+    assert np.max(np.abs(_kernel.copies(weights, v, n) - matmul)) <= 1e-15
+
 
 def test_chi_objective_on_classical_copies_matches_holevo():
     e = commuting_ensemble(seed=61)
@@ -464,7 +512,11 @@ def test_chi_q_report_json_round_trip():
     below = {"value": -1e-3, "objective": blob["baseline"] - 1e-3}
     for bad in ({"iterations": "many"}, {"restarts": None},
                 {"value": blob["value"] + 1e-3}, below, {"value": float("nan")},
-                {"converged": "false"}, {"restarts": "123"}, {"iterations": 1.7}):
+                {"converged": "false"}, {"restarts": "123"}, {"iterations": 1.7},
+                # numbers spelled as strings or booleans are not numbers
+                *({key: repr(blob[key])} for key in
+                  ("value", "objective", "baseline", "feasibility_residual")),
+                {"feasibility_residual": True}, {"restarts": [repr(blob["restarts"][0])]}):
         with pytest.raises(InvalidInput):
             QuantumnessReport.from_json({**blob, **bad})
 
@@ -484,7 +536,7 @@ def test_chi_face_check_refuses_misaligned_kernels():
     e = seed_pair()
     targets = [s.mat for s in e.states]
     x = [extopt._classical_copy(t, 2) for t in targets]
-    assert _marginal_residual(x, targets, 2, 2) <= 1e-14
+    assert marginal_residual(x, targets, 2, 2) <= 1e-14
     assert all(np.linalg.eigvalsh(xi)[0] < extopt.SNAP_TOL for xi in x)
     # no interior blend undercuts an objective of -inf, so only the kernel
     # test can refuse here
@@ -513,7 +565,7 @@ def test_chi_face_check_returns_a_lower_interior_blend():
     esc, f_esc, certified = extopt._chi_face_check(x, fx + 1e-3, e.probs, targets, 2)
     assert not certified and f_esc < fx + 1e-3 - 1e-7
     assert f_esc == pytest.approx(chi_objective(esc, e.probs), abs=0.0)
-    assert _marginal_residual(esc, targets, 2, 2) <= 1e-14
+    assert marginal_residual(esc, targets, 2, 2) <= 1e-14
 
 
 @pytest.mark.parametrize("dykstra_fails", [False, True])
@@ -525,7 +577,7 @@ def test_chi_q_reports_a_feasible_point_when_the_refine_misses_the_marginals(
     targets = [s.mat for s in e.states]
     bad = [np.kron(t, np.eye(2) / 2) for t in targets]
     assert chi_objective(bad, e.probs) == pytest.approx(holevo(e), abs=1e-12)
-    assert _marginal_residual(bad, targets, 2, 2) > 0.1
+    assert marginal_residual(bad, targets, 2, 2) > 0.1
     monkeypatch.setattr(extopt, "_entropic_refine", lambda *args: (bad, 0.0))
     if dykstra_fails:
         def failing(*args, **kwargs):
