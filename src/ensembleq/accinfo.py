@@ -54,8 +54,6 @@ NORMALIZER_FLOOR = 1e-12
 # number of grid points covering [0, pi) in the projective-measurement scan
 SCAN_STEPS = 5000
 
-DEFAULT_ACC_RESTARTS = 32
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -63,12 +61,14 @@ class OptimizerConfig:
 
     ``restarts`` seeded ascents run, the first from the average state's
     eigenbasis and the rest from random vectors drawn with ``seed``; each is
-    capped at ``max_iters`` fixed-point steps.  The extension solvers of
-    chi_q and fidelity_q are convex, run from one start and take no settings.
+    capped at ``max_iters`` fixed-point steps.  The defaults (32 restarts,
+    2000 steps, seed 42) are what ``accessible_information(e)`` and the CLI
+    run; the seed must be nonnegative.  The extension solvers of chi_q and
+    fidelity_q are convex, run from one start and take no settings.
     """
 
     max_iters: int = 2000
-    restarts: int = 8
+    restarts: int = 32
     seed: int = 42
 
     def __post_init__(self):
@@ -76,6 +76,8 @@ class OptimizerConfig:
             object.__setattr__(self, name, _require_int(getattr(self, name), name))
         if self.max_iters < 1 or self.restarts < 1:
             raise InvalidInput("iteration and restart counts must be positive")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be nonnegative, got {self.seed}")
 
 
 class Povm:
@@ -284,7 +286,7 @@ def accessible_information(
     the exhaustive projective-plane scan runs as well.  The best candidate
     wins; ties keep the earliest.
     """
-    cfg = cfg or OptimizerConfig(restarts=DEFAULT_ACC_RESTARTS)
+    cfg = cfg or OptimizerConfig()
     d = e.dim
     if d > ACC_DIM_CAP:
         raise ResourceLimit(

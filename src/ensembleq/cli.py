@@ -24,8 +24,8 @@ from .accinfo import (
     fuchs_quantumness,
     pure_limit_identities,
 )
-from .densmat import DensityMatrix, matrix_from_json, trace_norm
-from .ensemble import Ensemble, holevo
+from .densmat import FIDELITY_CONVENTIONS, DensityMatrix, matrix_from_json, trace_norm
+from .ensemble import Ensemble, holevo, is_broadcastable
 from .errors import (
     InvalidInput,
     NumericalFailure,
@@ -37,7 +37,6 @@ from .recovery import Channel, au_feasible, orthogonal_pair_example, petz_map
 
 __all__ = ["main", "run"]
 
-DEFAULT_SEED = 42
 SEED_ENV_VAR = "ENSEMBLEQ_SEED"
 
 EXIT_OK = 0
@@ -115,14 +114,17 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ensembleq-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ensembleq-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InvalidInput(f"cannot write {output}: {exc}") from exc
         raise
 
 
@@ -155,7 +157,7 @@ def _resolve_seed(args) -> int:
             raise InvalidInput(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from exc
-    return DEFAULT_SEED
+    return OptimizerConfig.seed
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -248,7 +250,6 @@ def _sweep_rows(args) -> list[dict]:
     rows = []
     for a in grid:
         ex = orthogonal_pair_example(float(a))
-        comm = ex.rho1_a.mat @ ex.rho2_a.mat - ex.rho2_a.mat @ ex.rho1_a.mat
         au = au_feasible(ex.rho1_b, ex.rho2_b, ex.rho1_a, ex.rho2_a)
         e = Ensemble([(0.5, ex.rho1_a), (0.5, ex.rho2_a)])
         chi_rep = chi_q(e, 2)
@@ -256,7 +257,7 @@ def _sweep_rows(args) -> list[dict]:
         rows.append(
             {
                 "a": float(a),
-                "commutator_norm": float(np.linalg.norm(comm)),
+                "commutator_norm": is_broadcastable(e).max_commutator_norm,
                 "au_min_margin": au.min_margin,
                 "au_feasible": au.feasible,
                 "chi_q_n2": chi_rep.value,
@@ -291,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # fidelity_q are convex and run from one start at fixed caps
     acc = argparse.ArgumentParser(add_help=False)
     acc.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    acc.add_argument("--restarts", type=int, default=32)
+                     help=f"RNG seed (default: ${SEED_ENV_VAR} or {OptimizerConfig.seed})")
+    acc.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
     acc.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
 
     p = argparse.ArgumentParser(
@@ -343,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-example", parents=[common],
                         help="sweep the orthogonal-pair example over a")
-    sp.add_argument("--fidelity-convention", choices=("squared", "root"),
+    sp.add_argument("--fidelity-convention", choices=FIDELITY_CONVENTIONS,
                     default="squared", help="fidelity convention")
     sp.add_argument("--a-min", type=float, default=0.0)
     sp.add_argument("--a-max", type=float, default=0.5)

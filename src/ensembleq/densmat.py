@@ -20,12 +20,15 @@ from .errors import InvalidInput, NumericalFailure, malformed
 
 #: Validity tolerance for constructor-level checks (Hermiticity, trace, PSD).
 VALID_TOL = 1e-10
+#: Names of the fidelity conventions: F squared, and its unsquared root.
+FIDELITY_CONVENTIONS = ("squared", "root")
 
 MatrixLike = Union[np.ndarray, "DensityMatrix", Sequence[Sequence[complex]]]
 
 __all__ = [
     "VALID_TOL",
     "EIG_FLOOR",
+    "FIDELITY_CONVENTIONS",
     "DensityMatrix",
     "DimensionProfile",
     "as_matrix",
@@ -193,11 +196,37 @@ def _as_profile(profile) -> DimensionProfile:
     return DimensionProfile(tuple(profile))
 
 
-def _require_density(rho: MatrixLike) -> np.ndarray:
-    """Return the validated matrix of a state, accepting ndarray or DensityMatrix."""
-    if isinstance(rho, DensityMatrix):
-        return rho.mat
-    return DensityMatrix(rho).mat
+def _as_state(x: MatrixLike) -> DensityMatrix:
+    """``x`` itself if it is a DensityMatrix, else ``x`` validated as one."""
+    return x if isinstance(x, DensityMatrix) else DensityMatrix(x)
+
+
+def _state_pair(rho: MatrixLike, sigma: MatrixLike) -> tuple[DensityMatrix, DensityMatrix]:
+    """Both arguments as states (``_as_state``), or InvalidInput unless their dimensions match."""
+    r, s = _as_state(rho), _as_state(sigma)
+    if r.dim != s.dim:
+        raise InvalidInput(f"dimension mismatch: {r.dim} vs {s.dim}")
+    return r, s
+
+
+def _sites(keep, n: int) -> list[int]:
+    """The sorted distinct sites of ``keep``, one index or an iterable of indices.
+
+    Each index must be integral (``_require_int``) and lie in range(n); the
+    set must not be empty.
+    """
+    try:
+        indices = [keep] if isinstance(keep, (int, np.integer)) else list(keep)
+    except TypeError:
+        raise InvalidInput(
+            f"keep set must be a site index or an iterable of them, got {keep!r}"
+        ) from None
+    sites = sorted({_require_int(k, "site index") for k in indices})
+    if not sites:
+        raise InvalidInput("keep set must not be empty")
+    if sites[0] < 0 or sites[-1] >= n:
+        raise InvalidInput(f"keep set {sites} out of range for {n} sites")
+    return sites
 
 
 def eig_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +245,7 @@ def eig_hermitian(m: MatrixLike, tol: float = VALID_TOL) -> tuple[np.ndarray, np
 
 def von_neumann_entropy(rho: MatrixLike) -> float:
     """Entropy -Tr(rho log2 rho) in bits; eigenvalues below the floor are dropped."""
-    return max(_k.entropy_bits(_require_density(rho)), 0.0)
+    return max(_k.entropy_bits(_as_state(rho).mat), 0.0)
 
 
 def relative_entropy(rho: MatrixLike, sigma: MatrixLike) -> float:
@@ -225,10 +254,7 @@ def relative_entropy(rho: MatrixLike, sigma: MatrixLike) -> float:
     Returns ``math.inf`` when rho carries weight outside the support of sigma
     (support detected with the eigenvalue floor).
     """
-    r = _require_density(rho)
-    s = _require_density(sigma)
-    if r.shape != s.shape:
-        raise InvalidInput(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
+    r, s = (x.mat for x in _state_pair(rho, sigma))
     wr, vr = np.linalg.eigh(_k.hermitize(r))
     ws, vs = np.linalg.eigh(_k.hermitize(s))
     wr = np.clip(wr, 0.0, None)
@@ -260,12 +286,9 @@ def fidelity(rho: MatrixLike, sigma: MatrixLike, convention: str = "squared") ->
     ``convention="squared"`` (default) returns (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2;
     ``convention="root"`` returns the unsquared trace.
     """
-    if convention not in ("squared", "root"):
+    if convention not in FIDELITY_CONVENTIONS:
         raise InvalidInput(f"unknown fidelity convention {convention!r}")
-    r = _require_density(rho)
-    s = _require_density(sigma)
-    if r.shape != s.shape:
-        raise InvalidInput(f"dimension mismatch: {r.shape[0]} vs {s.shape[0]}")
+    r, s = (x.mat for x in _state_pair(rho, sigma))
     root = min(max(_k.fidelity_root(r, s), 0.0), 1.0)
     return root * root if convention == "squared" else root
 
@@ -287,16 +310,7 @@ def partial_trace(m: MatrixLike, profile, keep) -> np.ndarray:
             f"profile {dims} has total dimension {prof.total_dim}, "
             f"matrix has {a.shape[0]}"
         )
-    if isinstance(keep, (int, np.integer)):
-        keep_set = {int(keep)}
-    else:
-        keep_set = {int(k) for k in keep}
-    n = len(dims)
-    if not keep_set:
-        raise InvalidInput("keep set must not be empty")
-    if not keep_set.issubset(range(n)):
-        raise InvalidInput(f"keep set {sorted(keep_set)} out of range for {n} sites")
-    return _k.partial_trace(a, dims, keep_set)
+    return _k.partial_trace(a, dims, _sites(keep, len(dims)))
 
 
 def tensor(m1: MatrixLike, m2: MatrixLike) -> np.ndarray:
@@ -308,6 +322,7 @@ def embed_at_site(op: MatrixLike, profile, site: int) -> np.ndarray:
     """Embed a single-site operator as I x ... x op x ... x I."""
     prof = _as_profile(profile)
     dims = prof.local_dims
+    site = _require_int(site, "site")
     if not 0 <= site < len(dims):
         raise InvalidInput(f"site {site} out of range for {len(dims)} sites")
     a = as_matrix(op)

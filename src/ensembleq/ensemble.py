@@ -1,7 +1,8 @@
 """Ensembles of quantum states: Holevo quantity, broadcastability, extension sets.
 
 ``classical_broadcast`` builds the exact extension set of a commuting family;
-``_site_count`` is the site-count check of every extension entry point.
+``_site_count`` is the site-count and local-dimension check of every extension
+entry point.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from . import _kernel as _k
 from .densmat import (
     DensityMatrix,
     DimensionProfile,
+    _as_state,
     _require_finite,
     _require_int,
     _real_array,
@@ -74,9 +76,7 @@ class Ensemble:
         if not members:
             raise InvalidInput("ensemble must have at least one member")
         probs = _require_probabilities([p for p, _ in members], "ensemble probabilities")
-        states = tuple(
-            rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho) for _, rho in members
-        )
+        states = tuple(_as_state(rho) for _, rho in members)
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise InvalidInput(f"all members must share one dimension, got {sorted(dims)}")
@@ -128,7 +128,7 @@ class Ensemble:
                 if "state" not in m:
                     raise InvalidInput("ensemble member missing 'state'")
                 p = m["p"] if all(have_p) else 1.0 / len(members)
-                pairs.append((p, DensityMatrix(matrix_from_json(m["state"]))))
+                pairs.append((p, matrix_from_json(m["state"])))
             ens = cls(pairs)
             if "dim" in obj and _require_int(obj["dim"], "dim") != ens.dim:
                 raise InvalidInput(
@@ -216,18 +216,21 @@ def _simultaneous_eigenbasis(states: Sequence[np.ndarray], tol: float = 1e-8) ->
     raise NumericalFailure("failed to find a simultaneous eigenbasis")
 
 
-def _site_count(n, d: int) -> int:
-    """``n`` as an int, or InvalidInput unless it counts at least 2 sites.
+def _site_count(n, d) -> tuple[int, int]:
+    """``(n, d)`` as ints, or InvalidInput unless d >= 2 and n >= 2 are integral.
 
-    Raises ResourceLimit when d**n exceeds DIM_CAP, without forming d**n
-    for more sites than DIM_CAP has bits.
+    The local dimension is checked first.  Raises ResourceLimit when d**n
+    exceeds DIM_CAP, without forming d**n for more sites than DIM_CAP has bits.
     """
+    d = _require_int(d, "local dimension")
+    if d < 2:
+        raise InvalidInput(f"local dimension must be at least 2, got {d}")
     n = _require_int(n, "site count")
     if n < 2:
         raise InvalidInput(f"extension needs at least 2 sites, got n={n}")
     if d ** min(n, DIM_CAP.bit_length()) > DIM_CAP:
         raise ResourceLimit(f"extension dimension {d}**{n} exceeds the cap {DIM_CAP}")
-    return n
+    return n, d
 
 
 class ExtensionSet:
@@ -240,17 +243,9 @@ class ExtensionSet:
     def __init__(self, n: int, local_dim: int,
                  extensions: Sequence[DensityMatrix],
                  target_marginals: Sequence[DensityMatrix]):
-        local_dim = _require_int(local_dim, "local dimension")
-        if local_dim < 2:
-            raise InvalidInput(f"local dimension must be at least 2, got {local_dim}")
-        n = _site_count(n, local_dim)
-        extensions = tuple(
-            e if isinstance(e, DensityMatrix) else DensityMatrix(e) for e in extensions
-        )
-        targets = tuple(
-            t if isinstance(t, DensityMatrix) else DensityMatrix(t)
-            for t in target_marginals
-        )
+        n, local_dim = _site_count(n, local_dim)
+        extensions = tuple(map(_as_state, extensions))
+        targets = tuple(map(_as_state, target_marginals))
         if not extensions or len(extensions) != len(targets):
             raise InvalidInput("extensions and targets must pair up one-to-one")
         big = local_dim**n
@@ -288,7 +283,7 @@ def classical_broadcast(e: Ensemble, n: int) -> ExtensionSet:
     sum_k <k|rho_i|k> |k...k><k...k| on n sites; every single-site marginal
     reproduces rho_i exactly.
     """
-    d, n = e.dim, _site_count(n, e.dim)
+    n, d = _site_count(n, e.dim)
     report = is_broadcastable(e)
     if not report:
         raise PreconditionViolated(

@@ -45,7 +45,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernel as _k
-from .densmat import DensityMatrix, as_matrix, _require_finite, _require_int, _require_real
+from .densmat import (FIDELITY_CONVENTIONS, DensityMatrix, as_matrix, _as_state,
+                      _require_finite, _require_int, _require_real, _state_pair)
 from .ensemble import (DIM_CAP, FEAS_TOL, Ensemble, ExtensionSet, _site_count,
                        classical_broadcast, holevo, is_broadcastable, shannon_entropy)
 from .errors import (
@@ -376,9 +377,8 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
 
 def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
     """Project a Hermitian matrix onto the feasible set of ``target``'s extensions."""
-    if not isinstance(target, DensityMatrix):
-        target = DensityMatrix(target)
-    d, n = target.dim, _site_count(n, target.dim)
+    target = _as_state(target)
+    n, d = _site_count(n, target.dim)
     a = _require_finite(as_matrix(x))
     if a.shape != (d**n, d**n):
         raise InvalidInput(
@@ -631,7 +631,7 @@ def _optimize_extensions(e: Ensemble, n: int, baseline: float, value,
     to their product extensions; a commuting family is reported at its
     classical broadcast.
     """
-    d, n = e.dim, _site_count(n, e.dim)
+    n, d = _site_count(n, e.dim)
     targets = [s.mat for s in e.states]
     if all(_k.is_pure(t) for t in targets):
         # a pure marginal forces the product extension: the feasible set is a point
@@ -679,14 +679,9 @@ def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     Maximizes F over joint feasible extension pairs; reported in monotone form
     (objective and baseline are 1 - F, so value = F_base - sup F_ext >= 0).
     """
-    if convention not in ("squared", "root"):
+    if convention not in FIDELITY_CONVENTIONS:
         raise InvalidInput(f"unknown fidelity convention {convention!r}")
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    if not isinstance(sigma, DensityMatrix):
-        sigma = DensityMatrix(sigma)
-    if rho.dim != sigma.dim:
-        raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    rho, sigma = _state_pair(rho, sigma)
     baseline = _fidelity_mono_objective(rho.mat, sigma.mat, convention)
     pair = Ensemble([(0.5, rho), (0.5, sigma)])
     return _optimize_extensions(pair, n, baseline,

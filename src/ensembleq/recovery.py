@@ -20,8 +20,11 @@ from ._kernel import hermitize
 from .densmat import (
     DensityMatrix,
     _as_profile,
+    _as_state,
     _require_finite,
     _require_int,
+    _require_real,
+    _sites,
     as_matrix,
     matrix_from_json,
     matrix_function,
@@ -183,7 +186,7 @@ def apply_channel(ch: Channel, rho) -> DensityMatrix:
 
 
 def identity_channel(dim: int) -> Channel:
-    return Channel([np.eye(int(dim), dtype=complex)])
+    return Channel([np.eye(_require_int(dim, "dimension"), dtype=complex)])
 
 
 def petz_map(reference: DensityMatrix, ch: Channel) -> Channel:
@@ -197,8 +200,7 @@ def petz_map(reference: DensityMatrix, ch: Channel) -> Channel:
     the image of the reference.  The composite recovers ``reference`` from
     ch(reference) exactly.
     """
-    if not isinstance(reference, DensityMatrix):
-        reference = DensityMatrix(reference)
+    reference = _as_state(reference)
     if reference.dim != ch.in_dim:
         raise InvalidInput(
             f"reference dimension {reference.dim} does not match channel input "
@@ -228,14 +230,7 @@ def partial_trace_channel(profile, keep) -> Channel:
     prof = _as_profile(profile)
     dims = prof.local_dims
     n = len(dims)
-    if isinstance(keep, (int, np.integer)):
-        keep_list = [int(keep)]
-    else:
-        keep_list = sorted({int(k) for k in keep})
-    if not keep_list:
-        raise InvalidInput("keep set must not be empty")
-    if not set(keep_list).issubset(range(n)):
-        raise InvalidInput(f"keep set {keep_list} out of range for {n} sites")
+    keep_list = _sites(keep, n)
     traced = [i for i in range(n) if i not in keep_list]
     d_total = prof.total_dim
     d_keep = int(np.prod([dims[i] for i in keep_list]))
@@ -277,11 +272,10 @@ AU_COEF_FLOOR = 1e-12
 
 
 def _require_qubit(rho, name: str) -> np.ndarray:
-    if not isinstance(rho, DensityMatrix):
-        try:
-            rho = DensityMatrix(rho)
-        except InvalidInput as exc:
-            raise InvalidInput(f"{name}: {exc}") from exc
+    try:
+        rho = _as_state(rho)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{name}: {exc}") from exc
     if rho.dim != 2:
         raise InvalidInput(f"{name} must be a qubit state, got dimension {rho.dim}")
     return rho.mat
@@ -363,7 +357,7 @@ def orthogonal_pair_example(a: float) -> ExampleStates:
     all-or-nothing answer.  The marginals of |00> are |0><0| on both sides.
     At a = 0 or a = 1/2 the A marginals commute; in between they do not.
     """
-    a = float(a)
+    a = _require_real(a, "parameter a")
     if not 0.0 <= a <= 0.5:
         raise InvalidInput(f"parameter a must lie in [0, 1/2], got {a}")
     psi1 = DensityMatrix.from_statevector([1.0, 0.0, 0.0, 0.0])

@@ -160,6 +160,14 @@ def test_acc_info_achievability():
     )
 
 
+def test_acc_info_runs_the_default_config_when_given_none():
+    default = OptimizerConfig()
+    report = accessible_information(zero_plus())
+    # every seeded ascent plus the qubit projective scan
+    assert report.restarts_used == default.restarts + 1
+    assert report.to_json() == accessible_information(zero_plus(), default).to_json()
+
+
 def test_acc_info_restart_bookkeeping():
     report = accessible_information(zero_plus(), OptimizerConfig(restarts=3))
     assert report.restarts_used == len(report.mutual_info_per_restart)

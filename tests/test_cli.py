@@ -2,12 +2,15 @@
 
 import json
 import os
+import time
 import types
 
 import numpy as np
 import pytest
 
-from ensembleq.cli import SWEEP_HEADER, _render_csv_value, _render_json, run
+from ensembleq.accinfo import OptimizerConfig
+from ensembleq.cli import (SWEEP_HEADER, _build_parser, _optimizer_config, _render_csv_value,
+                           _render_json, run)
 from ensembleq.densmat import DensityMatrix, matrix_to_json
 from ensembleq.ensemble import Ensemble
 from ensembleq.errors import NumericalFailure
@@ -307,6 +310,20 @@ def test_failed_run_leaves_no_output_file(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("dir_in_the_way", [False, True],
+                         ids=["missing-directory", "directory-in-the-way"])
+def test_unwritable_output_exits_2_and_leaves_nothing(tmp_path, capsys, zero_plus_file,
+                                                      dir_in_the_way):
+    target = tmp_path / "out" / "x.json"
+    if dir_in_the_way:
+        # the temporary file is made, and then cannot replace a directory
+        target.mkdir(parents=True)
+    assert run(["holevo", zero_plus_file, "--output", str(target)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert target.exists() == dir_in_the_way
+    assert not list(tmp_path.rglob(".ensembleq-*.tmp"))
+
+
 def test_exit_code_on_missing_file(tmp_path):
     assert run(["holevo", str(tmp_path / "nope.json")]) == 2
 
@@ -418,6 +435,30 @@ def test_seed_resolution_order(monkeypatch, zero_plus_file, capsys):
 def test_invalid_seed_env_rejected(monkeypatch, zero_plus_file):
     monkeypatch.setenv("ENSEMBLEQ_SEED", "not-a-number")
     assert run(["acc-info", zero_plus_file]) == 2
+
+
+def test_negative_seed_exits_2(monkeypatch, zero_plus_file, capsys):
+    monkeypatch.delenv("ENSEMBLEQ_SEED", raising=False)
+    assert run(["acc-info", zero_plus_file, "--seed", "-1"]) == 2
+    monkeypatch.setenv("ENSEMBLEQ_SEED", "-1")
+    assert run(["acc-info", zero_plus_file]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["acc-info", "fuchs", "pure-limits"])
+def test_measurement_defaults_are_the_optimizer_config_defaults(monkeypatch, command):
+    monkeypatch.delenv("ENSEMBLEQ_SEED", raising=False)
+    args = _build_parser().parse_args([command, "ensemble.json"])
+    assert _optimizer_config(args) == OptimizerConfig()
+
+
+def test_chi_q_exits_2_on_one_level_members_at_any_site_count(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(Ensemble([(1.0, np.ones((1, 1)))]).to_json()))
+    start = time.perf_counter()
+    assert run(["chi-q", str(path), "--n", "100000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "local dimension must be at least 2" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -297,6 +297,12 @@ def test_embed_at_site_traces_back():
             assert direct == pytest.approx(reduced, abs=1e-10)
 
 
+@pytest.mark.parametrize("site", [1.5, "1", True])
+def test_embed_at_site_needs_an_integral_site(site):
+    with pytest.raises(InvalidInput):
+        embed_at_site(KET0, (2, 2), site)
+
+
 def test_site_view_adds_the_embedded_operator_in_place():
     for dims, site in (((2, 2), 0), ((2, 3), 1), ((3, 2, 2), 1), ((2, 2, 3), 2)):
         big = int(np.prod(dims))

@@ -1,5 +1,7 @@
 """Extension optimization: feasible projections, chi_q, fidelity_q."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,14 @@ def test_optimizer_config_defaults():
     assert STALL_TOL == 1e-9
     assert DESCENT_STEPS == 2000
     assert DYKSTRA_ITERS == 500
-    assert cfg.restarts == 8
+    assert cfg.restarts == 32
     assert cfg.seed == 42
+
+
+def test_optimizer_config_rejects_a_negative_seed():
+    with pytest.raises(InvalidInput, match="seed must be nonnegative"):
+        OptimizerConfig(seed=-1)
+    assert OptimizerConfig(seed=0).seed == 0
 
 
 def test_optimizer_config_validation():
@@ -157,6 +165,27 @@ def test_site_counts_are_checked_against_the_cap(entry, n, error):
     # at d = 2 the cap admits 2..6 sites; 2**20000 must never be formed
     with pytest.raises(error):
         SITE_COUNT_ENTRY_POINTS[entry](n)
+
+
+ONE = np.ones((1, 1))
+
+LOCAL_DIM_ENTRY_POINTS = {
+    "chi_q": lambda n: chi_q(Ensemble([(1.0, ONE)]), n),
+    "fidelity_q": lambda n: fidelity_q(ONE, ONE, n),
+    "project_feasible": lambda n: project_feasible(ONE, ONE, n),
+    "classical_broadcast": lambda n: classical_broadcast(Ensemble([(1.0, ONE)]), n),
+    "ExtensionSet": lambda n: ExtensionSet(n, 1, [ONE], [ONE]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LOCAL_DIM_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [2, 70, 100000])
+def test_one_level_members_are_rejected_before_the_site_count(entry, n):
+    # 1**n never reaches the cap, so only the local-dimension rule stops these
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="local dimension must be at least 2, got 1"):
+        LOCAL_DIM_ENTRY_POINTS[entry](n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_extension_set_accepts_feasible_members():

@@ -46,6 +46,17 @@ def test_channel_identity_and_apply():
     assert ch.in_dim == ch.out_dim == 3
 
 
+def test_identity_channel_and_example_take_numbers_only():
+    for dim in (2.7, True, "2"):
+        with pytest.raises(InvalidInput):
+            identity_channel(dim)
+    for a in ("0.25", True):
+        with pytest.raises(InvalidInput):
+            orthogonal_pair_example(a)
+    assert identity_channel(2.0).in_dim == 2
+    assert orthogonal_pair_example(np.float64(0.25)) == orthogonal_pair_example(0.25)
+
+
 def test_channel_rejects_non_trace_preserving():
     with pytest.raises(InvalidInput):
         Channel([np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)])
@@ -188,6 +199,26 @@ def test_partial_trace_channel_keep_all_is_identity():
 def test_partial_trace_channel_rejects_bad_keep():
     with pytest.raises(InvalidInput):
         partial_trace_channel((2, 2), 5)
+
+
+@pytest.mark.parametrize("keep", [[0.7], 1.5, "1", [True], np.float64(1.0), None, []],
+                         ids=["fraction-in-list", "fraction", "string", "bool", "numpy-float",
+                              "none", "empty"])
+def test_keep_sets_hold_integral_site_indices(keep):
+    rho = random_density_matrix(4, seed=420)
+    with pytest.raises(InvalidInput):
+        partial_trace(rho, (2, 2), keep)
+    with pytest.raises(InvalidInput):
+        partial_trace_channel((2, 2), keep)
+
+
+def test_keep_sets_take_numpy_indices_and_repeated_sites():
+    a, b = (DensityMatrix(random_density_matrix(2, seed=s)) for s in (421, 422))
+    ab = DensityMatrix(np.kron(a.mat, b.mat))
+    for keep, expected in ((np.int64(1), b.mat), ((1, 0, 1), ab.mat)):
+        assert np.allclose(partial_trace(ab, (2, 2), keep), expected, atol=1e-12)
+        assert np.allclose(partial_trace_channel((2, 2), keep).apply(ab).mat, expected,
+                           atol=1e-12)
 
 
 def test_flagged_state_petz_identifies_members():
