@@ -13,7 +13,11 @@ indexed, in-place call.  ``partial_trace`` and ``site_view`` serve ``densmat``'s
 public functions, ``embed_at_site`` and the table's construction.
 
 ``copies`` (every sum of weighted n-fold copies), ``holevo_bits`` and
-``marginal_residual`` are the one builder of each extension object.
+``marginal_residual`` are the one builder of each extension object;
+``marginal_residual`` is also the residual of Dykstra's stop test.
+``holevo_from_entropies``, the Holevo sum behind ``holevo_bits``, takes
+eigenvalues and entropies a caller already has, as ``extopt``'s refine does
+with the spectra each of its rounds computes.
 
 ``hermitize``, ``matrix_function`` and ``add_at_site`` act on each matrix of a
 ``(..., D, D)`` stack, and ``site_marginals`` on each of an ``(m, D, D)`` stack;
@@ -36,13 +40,13 @@ PURE_TOL = 1e-8
 #: Scalar maps that :func:`matrix_function` applies to a Hermitian spectrum.
 SPECTRAL_MAPS = {
     "log2": lambda w: np.log2(np.maximum(w, EIG_FLOOR)),
-    "log": lambda w: np.log(np.clip(w, 1e-300, None)),
+    "log": lambda w: np.log(np.maximum(w, 1e-300)),
     "exp": np.exp,
-    "sqrt": lambda w: np.sqrt(np.clip(w, 0.0, None)),
+    "sqrt": lambda w: np.sqrt(np.maximum(w, 0.0)),
     "inv_sqrt_on_support": lambda w: np.where(
         w > EIG_FLOOR, 1.0 / np.sqrt(np.maximum(w, EIG_FLOOR)), 0.0
     ),
-    "psd_clip": lambda w: np.clip(w, 0.0, None),
+    "psd_clip": lambda w: np.maximum(w, 0.0),
 }
 
 
@@ -59,11 +63,15 @@ def matrix_function(a: np.ndarray, fn: str, spectrum=None) -> np.ndarray:
     return (v * SPECTRAL_MAPS[fn](w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def entropy_bits(a: np.ndarray) -> float:
-    """-Tr(a log2 a) over the eigenvalues above EIG_FLOOR (not clipped at 0)."""
-    w = np.linalg.eigvalsh(hermitize(a))
+def spectral_entropy_bits(w: np.ndarray) -> float:
+    """-sum w log2 w over the eigenvalues w above EIG_FLOOR (not clipped at 0)."""
     w = w[w > EIG_FLOOR]
     return float(-(w * np.log2(w)).sum())
+
+
+def entropy_bits(a: np.ndarray) -> float:
+    """-Tr(a log2 a) over the eigenvalues above EIG_FLOOR (not clipped at 0)."""
+    return spectral_entropy_bits(np.linalg.eigvalsh(hermitize(a)))
 
 
 def fidelity_root(a: np.ndarray, b: np.ndarray) -> float:
@@ -109,8 +117,17 @@ def copies(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 def holevo_bits(probs, mats) -> float:
     """S(sum_i p_i m_i) - sum_i p_i S(m_i) in bits, over the terms with p_i > 0."""
     avg = sum(p * m for p, m in zip(probs, mats))
-    return entropy_bits(avg) - sum(
-        p * entropy_bits(m) for p, m in zip(probs, mats) if p > 0.0
+    bits = [entropy_bits(m) if p > 0.0 else 0.0 for p, m in zip(probs, mats)]
+    return holevo_from_entropies(np.linalg.eigvalsh(hermitize(avg)), probs, bits)
+
+
+def holevo_from_entropies(avg_eigs: np.ndarray, probs, bits) -> float:
+    """The Holevo sum from the average's eigenvalues and each member's S in bits.
+
+    Terms with p_i = 0 drop out, whatever their entry in ``bits``.
+    """
+    return spectral_entropy_bits(avg_eigs) - sum(
+        p * b for p, b in zip(probs, bits) if p > 0.0
     )
 
 
@@ -209,13 +226,18 @@ def subtract_at_sites(x: np.ndarray, ops: np.ndarray, d: int, n: int) -> None:
 
 
 def marginal_residual(mats, targets, d: int, n: int) -> float:
-    """Largest Frobenius deviation of any single-site marginal from its target."""
-    # one norm per marginal: a stacked norm sums in another order
-    return max(
-        float(np.linalg.norm(r))
-        for m, t in zip(mats, targets)
-        for r in site_marginals(m, d, n) - t
-    )
+    """Largest Frobenius deviation of any single-site marginal from its target.
+
+    The one residual formula of Dykstra's stop test and of every report: per
+    matrix, one gather of its n marginals and sqrt(max(sum(re**2 + im**2))).
+    """
+    # matrix by matrix: stacking the list first costs a copy of every matrix
+    squares = []
+    for m, t in zip(mats, targets):
+        r = site_marginals(m, d, n) - t
+        squares.append((r.real**2 + r.imag**2).sum(axis=(-2, -1)).max())
+    # np.max, unlike the builtin, keeps a NaN wherever it sits
+    return float(np.sqrt(np.max(squares)))
 
 
 def bloch_vector(a: np.ndarray) -> np.ndarray:

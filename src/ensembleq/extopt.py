@@ -238,21 +238,22 @@ def _scaling_iproject(log_sigma: np.ndarray, log_targets: np.ndarray, d: int, n:
     SCALING_SWEEPS sweeps: ``log_targets`` is (m, d, d), ``mult_init``
     (m, D, D) warm-starts the accumulated site multipliers (they drift slowly
     across outer rounds), and the projections and final multiplier sums come
-    back as (m, D, D) stacks.  Each member's result is the one it would get
-    alone.
+    back as (m, D, D) stacks, with the (m, D) spectrum of the last exponent:
+    the logarithms of the projections' eigenvalues.  Each member's result is
+    the one it would get alone.
     """
-    # the multipliers are updated in place, so they must not alias ``mult_init``
-    mult = mult_init.copy()
-    L = log_sigma + mult
-    E = _k.matrix_function(L, "exp")
+    # the multipliers and the running exponent log_sigma + multipliers, side
+    # by side in a new array, so that one in-place add moves both
+    state = np.stack([mult_init, log_sigma + mult_init])
+    spectrum = np.linalg.eigh(_k.hermitize(state[1]))
+    E = _k.matrix_function(state[1], "exp", spectrum)
     for _ in range(SCALING_SWEEPS):
         for k in range(n):
             mk = _k.site_marginals(E, d, n, k)
-            corr = log_targets - _k.matrix_function(mk, "log")
-            _k.add_at_site(mult, corr, d, n, k)
-            _k.add_at_site(L, corr, d, n, k)
-            E = _k.matrix_function(L, "exp")
-    return E, mult
+            _k.add_at_site(state, log_targets - _k.matrix_function(mk, "log"), d, n, k)
+            spectrum = np.linalg.eigh(_k.hermitize(state[1]))
+            E = _k.matrix_function(state[1], "exp", spectrum)
+    return E, state[0], spectrum[0]
 
 
 def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray],
@@ -266,6 +267,12 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     so iterates approach boundary minimizers geometrically instead of the
     sublinear crawl of Euclidean steps, and every iterate stays feasible up
     to what SCALING_SWEEPS sweeps leave.
+
+    Each round decomposes sigma once: its spectrum gives both S(sigma) for
+    the stop rule and log sigma for the next projection.  The members'
+    entropies come off the spectra of _scaling_iproject's last exponents, and
+    a pure-pinned member's is taken once, so the stop rule's chi (that of
+    chi_objective, up to rounding) costs no further decomposition.
 
     The stationarity certificate (the projected-gradient mapping norm at the
     snapped iterate, see _chi_certificate) is consulted once the objective
@@ -288,17 +295,26 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     free = [i for i, pt in enumerate(pinned_points) if pt is None]
     log_targets = _k.matrix_function(np.array([targets[i] for i in free], dtype=complex), "log")
     mults = np.zeros((len(free), d**n, d**n), dtype=complex)
-    prev = chi_objective(E, probs)
+    # S(E_i) in bits of the members the objective weighs; each round
+    # overwrites the free members' entries
+    bits = [_k.entropy_bits(m) if p > 0.0 else 0.0 for m, p in zip(E, probs)]
+    sigma = sum(p * m for p, m in zip(probs, E))
+    spectrum = np.linalg.eigh(_k.hermitize(sigma))
+    prev = _k.holevo_from_entropies(spectrum[0], probs, bits)
     stable = 0
     last_pg = np.inf
     since_check = 0
     for _ in range(REFINE_ROUNDS):
+        log_sigma = _k.matrix_function(sigma, "log", spectrum)
+        projected, mults, exponents = _scaling_iproject(log_sigma, log_targets, d, n, mults)
+        # S = -sum e^w w / ln 2 over the eigenvalues e^w above EIG_FLOOR
+        lam = np.exp(exponents)
+        free_bits = -np.where(lam > _k.EIG_FLOOR, lam * exponents, 0.0).sum(axis=-1) / np.log(2.0)
+        for i, Ei, b in zip(free, projected, free_bits.tolist()):
+            E[i], bits[i] = Ei, b
         sigma = sum(p * m for p, m in zip(probs, E))
-        log_sigma = _k.matrix_function(sigma, "log")
-        projected, mults = _scaling_iproject(log_sigma, log_targets, d, n, mults)
-        for i, Ei in zip(free, projected):
-            E[i] = Ei
-        cur = chi_objective(E, probs)
+        spectrum = np.linalg.eigh(_k.hermitize(sigma))
+        cur = _k.holevo_from_entropies(spectrum[0], probs, bits)
         stable = stable + 1 if abs(prev - cur) < 1e-10 else 0
         prev = cur
         since_check += 1

@@ -12,7 +12,9 @@ import numpy as np
 
 from ._kernel import hermitize
 
-SeedLike = Union[int, np.random.Generator]
+# a string, so that importing this module leaves numpy.random unloaded until a
+# generator is first built
+SeedLike = Union[int, "np.random.Generator"]
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:

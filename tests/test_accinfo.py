@@ -304,6 +304,21 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_random_beyond_bare_numpy():
+    # numpy 2 loads numpy.random on first use only; numpy 1.x loads it with
+    # numpy itself, so the package may load no more than bare numpy does
+    random_modules = "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    outputs = []
+    for imports in ("numpy", "ensembleq", "ensembleq.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, {imports}; {random_modules}"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.strip())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_acc_info_loads_no_scipy():
     code = (
         "import sys; import numpy as np; import ensembleq as eq\n"

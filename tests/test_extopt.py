@@ -334,8 +334,8 @@ def test_scaling_iproject_stack_matches_each_member_alone(monkeypatch):
     log_targets = _kernel.matrix_function(targets, "log")
     log_sigma = _kernel.matrix_function(random_density_matrix(8, seed=34), "log")
     zero = np.zeros((3, 8, 8), dtype=complex)
-    _, once = _scaling_iproject(log_sigma, log_targets, 2, 3, zero)
-    _, twice = _scaling_iproject(log_sigma, log_targets, 2, 3, once)
+    _, once, _ = _scaling_iproject(log_sigma, log_targets, 2, 3, zero)
+    _, twice, _ = _scaling_iproject(log_sigma, log_targets, 2, 3, once)
     # member 0 starts two calls warm, member 1 one call warm, member 2 cold
     mult = np.array([twice[0], once[1], zero[2]])
     before = mult.copy()
@@ -347,14 +347,109 @@ def test_scaling_iproject_stack_matches_each_member_alone(monkeypatch):
         return site_marginals(x, d, n, site)
 
     monkeypatch.setattr(_kernel, "site_marginals", recording)
-    E, M = _scaling_iproject(log_sigma, log_targets, 2, 3, mult)
+    E, M, W = _scaling_iproject(log_sigma, log_targets, 2, 3, mult)
     monkeypatch.undo()
     # two sweeps of one whole-stack gather per site, and no member leaves
     assert gathers == [((3, 8, 8), k) for k in (0, 1, 2)] * 2
     assert np.array_equal(mult, before)
+    assert W.shape == (3, 8)
     for i in range(3):
-        Ei, Mi = _scaling_iproject(log_sigma, log_targets[i:i + 1], 2, 3, mult[i:i + 1])
+        Ei, Mi, Wi = _scaling_iproject(log_sigma, log_targets[i:i + 1], 2, 3, mult[i:i + 1])
         assert np.array_equal(Ei[0], E[i]) and np.array_equal(Mi[0], M[i])
+        assert np.array_equal(Wi[0], W[i])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_refine_round_decomposes_each_matrix_once(monkeypatch, n):
+    # outside the projections a round decomposes sigma alone: its spectrum
+    # serves the stop rule's chi and the next projection's log sigma
+    events = []
+    iproject = extopt._scaling_iproject
+
+    def counting(decompose):
+        def wrapped(*args, **kwargs):
+            events.append("e")
+            return decompose(*args, **kwargs)
+        return wrapped
+
+    def recording(*args, **kwargs):
+        start = len(events)
+        out = iproject(*args, **kwargs)
+        del events[start:]
+        events.append("P")
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(extopt, "_scaling_iproject", recording)
+    chi_q(seed_pair(), n)
+    monkeypatch.undo()
+    # the first 20 rounds run no certificate check on this pair
+    between = "".join(events).split("P")[1:21]
+    assert between == ["e"] * 20
+
+
+def _pinned_triple() -> Ensemble:
+    psi = random_pure_state(2, seed=41)
+    states = [np.outer(psi, psi.conj()), random_density_matrix(2, seed=42),
+              random_density_matrix(2, seed=43)]
+    return Ensemble([(p, DensityMatrix(s)) for p, s in zip((0.3, 0.3, 0.4), states)])
+
+
+def _pair_and_a_weightless_member() -> Ensemble:
+    states = [random_density_matrix(2, seed=s) for s in (11, 12, 13)]
+    return Ensemble([(p, DensityMatrix(s)) for p, s in zip((0.5, 0.5, 0.0), states)])
+
+
+@pytest.mark.parametrize("build, n", [
+    (seed_pair, 2),
+    (seed_pair, 3),
+    (lambda: Ensemble([(0.5, DensityMatrix(random_density_matrix(3, seed=s)))
+                       for s in (11, 12)]), 2),
+    (_pinned_triple, 2),
+    (_pair_and_a_weightless_member, 2),
+], ids=["pair-n2", "pair-n3", "qutrits", "pinned-triple", "weightless-member"])
+def test_refine_stop_rule_chi_is_chi_objective(monkeypatch, build, n):
+    e = build()
+    starts, projected, values = [], [], []
+    inside = [False]
+    refine, iproject, holevo_sum = (extopt._entropic_refine, extopt._scaling_iproject,
+                                    _kernel.holevo_from_entropies)
+
+    def recording_refine(x0, *args, **kwargs):
+        starts.append(list(x0))
+        inside[0] = True
+        try:
+            return refine(x0, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def recording_iproject(*args, **kwargs):
+        out = iproject(*args, **kwargs)
+        projected.append(out[0].copy())
+        return out
+
+    def recording_sum(*args, **kwargs):
+        value = holevo_sum(*args, **kwargs)
+        if inside[0]:
+            values.append(value)
+        return value
+
+    monkeypatch.setattr(extopt, "_entropic_refine", recording_refine)
+    monkeypatch.setattr(extopt, "_scaling_iproject", recording_iproject)
+    monkeypatch.setattr(_kernel, "holevo_from_entropies", recording_sum)
+    chi_q(e, n)
+    monkeypatch.undo()
+    # one value at the start, then one after each round's projection
+    assert len(starts) == 1 and len(values) == len(projected) + 1 > 1
+    pinned = [_pure_target_point(s.mat, n) for s in e.states]
+    free = [i for i, pt in enumerate(pinned) if pt is None]
+    x = [s if pt is None else pt for s, pt in zip(starts[0], pinned)]
+    for k, value in enumerate(values):
+        if k:
+            for i, xi in zip(free, projected[k - 1]):
+                x[i] = xi
+        assert abs(value - chi_objective(x, e.probs)) <= 1e-12
 
 
 def test_solver_loops_gather_marginals_only_through_the_site_table(monkeypatch):
@@ -375,10 +470,7 @@ def test_solver_loops_gather_marginals_only_through_the_site_table(monkeypatch):
 
 
 def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
-    psi = random_pure_state(2, seed=41)
-    states = [np.outer(psi, psi.conj()), random_density_matrix(2, seed=42),
-              random_density_matrix(2, seed=43)]
-    e = Ensemble([(p, DensityMatrix(s)) for p, s in zip((0.3, 0.3, 0.4), states)])
+    e = _pinned_triple()
     refined, stacks = [], []
     refine, iproject = extopt._entropic_refine, extopt._scaling_iproject
 
@@ -397,7 +489,7 @@ def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
     # one stack holding the two mixed members, never the pure one
     assert refined and set(stacks) == {(2, 2, 2)}
     # the refine returns snapped points, so the pinned member comes back snapped
-    point = extopt._snap_small(_pure_target_point(states[0], 2))
+    point = extopt._snap_small(_pure_target_point(e.states[0].mat, 2))
     for extensions in refined:
         assert np.array_equal(extensions[0], point)
     assert r.converged and r.feasibility_residual <= FEAS_TOL and r.value > 0.0
