@@ -3,11 +3,11 @@
 Accessible information is the largest classical mutual information between the
 ensemble label and the outcome of any measurement.  It is bounded above by the
 Holevo quantity, with equality exactly for commuting ensembles.  The optimizer
-here reports a lower bound: the best of seeded fixed-point ascents over
-rank-one measurements with at most d^2 outcomes (which suffice, by Davies,
-IEEE TIT 24, 596 (1978)), each run until its steps no longer move it,
-strengthened on qubits by an exhaustive scan over binary projective
-measurements in the plane spanned by the member states.
+here reports a lower bound: the best of fixed-point ascents over rank-one
+measurements, run in one batch until their steps no longer move them.  They
+start at the average state's eigenbasis, at the pretty good measurement, and
+at seeded random sets of d^2 vectors (d^2 outcomes suffice, by Davies, IEEE
+TIT 24, 596 (1978)), the same way in every dimension.
 """
 
 from __future__ import annotations
@@ -51,20 +51,18 @@ ACC_DIM_CAP = 4
 # spectral floor when inverting the completeness normalizer
 NORMALIZER_FLOOR = 1e-12
 
-# number of grid points covering [0, pi) in the projective-measurement scan
-SCAN_STEPS = 5000
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings of the measurement ascent in accessible_information.
 
-    ``restarts`` seeded ascents run, the first from the average state's
-    eigenbasis and the rest from random vectors drawn with ``seed``; each is
-    capped at ``max_iters`` fixed-point steps.  The defaults (32 restarts,
-    2000 steps, seed 42) are what ``accessible_information(e)`` and the CLI
-    run; the seed must be nonnegative.  The extension solvers of chi_q and
-    fidelity_q are convex, run from one start and take no settings.
+    ``restarts + 1`` ascents run: one from the average state's eigenbasis,
+    one from the pretty good measurement, and ``restarts - 1`` from random
+    vectors drawn with ``seed``; each is capped at ``max_iters`` fixed-point
+    steps.  The defaults (32 restarts, 2000 steps, seed 42) are what
+    ``accessible_information(e)`` and the CLI run; the seed must be
+    nonnegative.  The extension solvers of chi_q and fidelity_q are convex,
+    run from one start and take no settings.
     """
 
     max_iters: int = 2000
@@ -167,9 +165,9 @@ def mutual_information(e: Ensemble, m: Povm) -> float:
 class AccInfoReport:
     """Lower bound on accessible information with the achieving measurement.
 
-    ``mutual_info_per_restart`` records the value found by every optimization
-    candidate (the seeded fixed-point ascents, plus the projective scan on
-    qubits), so outliers are auditable.  ``holevo_gap`` is chi - value,
+    ``mutual_info_per_restart`` records the value of every ascent start, in
+    order: the eigenbasis, the pretty good measurement, then the random
+    starts, so outliers are auditable.  ``holevo_gap`` is chi - value,
     nonnegative up to solver tolerance.
     """
 
@@ -209,11 +207,14 @@ def _ascend(probs: np.ndarray, states: np.ndarray, b: np.ndarray, max_iters: int
     nats) with respect to M_k, and restores completeness (Rehacek, Englert and
     Kaszlikowski, PRA 71, 054303 (2005)).  eps doubles after an accepted step
     and halves within a step until the information does not fall.  A start
-    stops when a step gains nothing because it no longer moves the vectors in
-    floating point, or after ``max_iters`` steps.  Steps on which the value
-    only holds are kept: near a saddle the gains fall below rounding long
-    before the ascent has left it.  Returns (values in bits, vectors), one per
-    start.
+    stops after ``max_iters`` steps, or when a step changes in floating point
+    neither its vectors nor, once completed, their outcome probabilities: at
+    an exact stationary point, such as the trine's pretty good measurement,
+    completion undoes the step up to rounding, and the start would otherwise
+    alternate between a kept step at eps and a rejected one at 2 eps.  Steps
+    on which the value only holds are kept: near a saddle the gains fall
+    below rounding long before the ascent has left it.  Returns (values in
+    bits, vectors), one per start.
     """
     b = b.copy()
     q, rb = _outcomes(states, b)
@@ -228,7 +229,7 @@ def _ascend(probs: np.ndarray, states: np.ndarray, b: np.ndarray, max_iters: int
         trial = _complete(c)
         q_trial, rb_trial = _outcomes(states, trial)
         val_trial = _mutual_info_bits(probs, q_trial)
-        moved = np.any(c != b_live, axis=(1, 2))
+        moved = np.any(c != b_live, axis=(1, 2)) & np.any(q_trial != q[live], axis=(1, 2))
         kept = moved & (val_trial >= val[live])
         up = live[kept]
         b[up], q[up], rb[up], val[up] = trial[kept], q_trial[kept], rb_trial[kept], val_trial[kept]
@@ -239,39 +240,22 @@ def _ascend(probs: np.ndarray, states: np.ndarray, b: np.ndarray, max_iters: int
     return val, b
 
 
-def _projective_scan(probs: np.ndarray, states: Sequence[np.ndarray]):
-    """Exhaustive scan over binary projective qubit measurements.
+def _pgm_rows(probs: np.ndarray, states: np.ndarray, spectrum) -> np.ndarray:
+    """Rank-one rows of the pretty good measurement, completed to the identity.
 
-    Directions sweep the plane spanned by the member Bloch vectors (every
-    binary projective optimum lies in that plane whenever the vectors are
-    coplanar with the origin, which covers all two-member and all commuting
-    ensembles); step pi / SCAN_STEPS.
+    M_i = A^{-1/2} p_i rho_i A^{-1/2} with A the average state and ``spectrum``
+    its ``(w, v)`` from ``np.linalg.eigh`` (Hausladen and Wootters, J. Mod.
+    Opt. 41, 2385 (1994)).  Each eigenpair (w, v) of an M_i above EIG_FLOOR
+    gives the row sqrt(w) v.  The M_i sum to the projector onto A's support,
+    so each null direction of A adds one row: without them a rank-deficient A
+    (an equiprobable pure pair at d = 3 or 4) gives rows that Povm rejects.
     """
-    bloch = np.stack([_k.bloch_vector(s) for s in states])  # (k, 3)
-    u, s, vt = np.linalg.svd(bloch, full_matrices=False)
-    frame = np.eye(3)[:2]
-    if s.size and s[0] > 1e-12:
-        e1 = vt[0]
-        if vt.shape[0] > 1 and s[1] > 1e-12:
-            e2 = vt[1]
-        else:
-            pick = np.eye(3)[int(np.argmin(np.abs(e1)))]
-            e2 = pick - np.dot(pick, e1) * e1
-            e2 /= np.linalg.norm(e2)
-        frame = np.stack([e1, e2])
-    thetas = np.arange(SCAN_STEPS) * (np.pi / SCAN_STEPS)
-    dirs = np.cos(thetas)[:, None] * frame[0] + np.sin(thetas)[:, None] * frame[1]
-    q = np.clip((1.0 + bloch @ dirs.T).T / 2.0, 0.0, 1.0)  # (steps, k) outcome-plus probabilities
-    vals = _mutual_info_bits(probs, np.stack([q, 1.0 - q], axis=-1))
-    best = int(np.argmax(vals))
-    n = dirs[best]
-    pauli = (
-        n[0] * np.array([[0, 1], [1, 0]], dtype=complex)
-        + n[1] * np.array([[0, -1j], [1j, 0]], dtype=complex)
-        + n[2] * np.array([[1, 0], [0, -1]], dtype=complex)
-    )
-    plus = (np.eye(2) + pauli) / 2.0
-    return float(vals[best]), [plus, np.eye(2) - plus]
+    lam, vecs = spectrum
+    root = _k.matrix_function(None, "inv_sqrt_on_support", spectrum)
+    w, v = np.linalg.eigh(probs[:, None, None] * (root @ states @ root))
+    keep = w > _k.EIG_FLOOR
+    rows = np.sqrt(w[keep])[:, None] * np.swapaxes(v, -1, -2)[keep]
+    return _complete(np.concatenate([rows, vecs.T[lam <= _k.EIG_FLOOR]]))
 
 
 def accessible_information(
@@ -279,12 +263,14 @@ def accessible_information(
 ) -> AccInfoReport:
     """Best found measurement mutual information; a lower bound on the truth.
 
-    Runs ``cfg.restarts`` seeded fixed-point ascents over rank-one
-    measurements, each capped at ``cfg.max_iters`` steps: the first starts at
+    Runs ``cfg.restarts + 1`` fixed-point ascents over rank-one measurements
+    in one batch, each capped at ``cfg.max_iters`` steps: the first starts at
     the eigenbasis of the average state (d outcomes, exact for commuting
-    ensembles), every further one at a random set of d^2 vectors.  On qubits
-    the exhaustive projective-plane scan runs as well.  The best candidate
-    wins; ties keep the earliest.
+    ensembles), the second at the pretty good measurement, and each of the
+    ``cfg.restarts - 1`` others at a seeded random set of d^2 vectors.  The
+    starts are padded with zero rows to one row count; a zero row stays zero
+    and is dropped from the returned measurement.  The best start wins; ties
+    keep the earliest.
     """
     cfg = cfg or OptimizerConfig()
     d = e.dim
@@ -295,37 +281,25 @@ def accessible_information(
     probs = e.probs
     states = np.stack([s.mat for s in e.states])
 
-    _, vecs = np.linalg.eigh(e.average_state().mat)
+    spectrum = np.linalg.eigh(e.average_state().mat)
     g = rng_from(cfg.seed).normal(size=(cfg.restarts - 1, 2, d * d, d))
-    runs = [
-        _ascend(probs, states, vecs.T[None], cfg.max_iters),
-        _ascend(probs, states, _complete(g[:, 0] + 1j * g[:, 1]), cfg.max_iters),
+    starts = [
+        spectrum[1].T,
+        _pgm_rows(probs, states, spectrum),
+        *_complete(g[:, 0] + 1j * g[:, 1]),
     ]
+    rows = max(len(b) for b in starts)
+    padded = np.stack([np.pad(b, ((0, rows - len(b)), (0, 0))) for b in starts])
+    vals, vectors = _ascend(probs, states, padded, cfg.max_iters)
 
-    per_restart: list[float] = []
-    best_val = -np.inf
-    best_elements: Optional[list[np.ndarray]] = None
-    for vals, vectors in runs:
-        for val, b in zip(vals, vectors):
-            per_restart.append(float(val))
-            if val > best_val:
-                best_val = val
-                best_elements = [np.outer(bk, bk.conj()) for bk in b]
-
-    if d == 2:
-        scan_val, scan_els = _projective_scan(probs, states)
-        per_restart.append(scan_val)
-        if scan_val > best_val:
-            best_val = scan_val
-            best_elements = scan_els
-
-    chi = holevo(e)
+    best = int(np.argmax(vals))
+    b = vectors[best][np.any(vectors[best] != 0.0, axis=1)]
     return AccInfoReport(
-        value=float(best_val),
-        best_povm=Povm(best_elements),
-        restarts_used=len(per_restart),
-        mutual_info_per_restart=tuple(per_restart),
-        holevo_gap=float(chi - best_val),
+        value=float(vals[best]),
+        best_povm=Povm([np.outer(bk, bk.conj()) for bk in b]),
+        restarts_used=len(vals),
+        mutual_info_per_restart=tuple(float(v) for v in vals),
+        holevo_gap=float(holevo(e) - vals[best]),
     )
 
 

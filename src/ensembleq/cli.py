@@ -293,7 +293,11 @@ def _build_parser() -> argparse.ArgumentParser:
     acc = argparse.ArgumentParser(add_help=False)
     acc.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV_VAR} or {OptimizerConfig.seed})")
-    acc.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    acc.add_argument("--restarts", type=int, default=OptimizerConfig.restarts,
+                     help=f"eigenbasis and random ascent starts (default "
+                          f"{OptimizerConfig.restarts}); the eigenbasis and "
+                          "pretty-good-measurement starts always run, so restarts + 1 "
+                          "ascents run in all")
     acc.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
 
     p = argparse.ArgumentParser(

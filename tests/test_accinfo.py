@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ensembleq import accinfo
 from ensembleq.accinfo import (
     AccInfoReport,
     OptimizerConfig,
@@ -18,7 +19,13 @@ from ensembleq.accinfo import (
 from ensembleq.densmat import DensityMatrix, eig_hermitian
 from ensembleq.ensemble import Ensemble, holevo
 from ensembleq.errors import InvalidInput, PreconditionViolated, ResourceLimit
-from ensembleq.rand import random_commuting_states, random_density_matrix, random_kraus
+from ensembleq.rand import (
+    random_commuting_states,
+    random_density_matrix,
+    random_kraus,
+    random_pure_state,
+    rng_from,
+)
 from ensembleq.recovery import Channel
 
 KET0 = DensityMatrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
@@ -163,7 +170,7 @@ def test_acc_info_achievability():
 def test_acc_info_runs_the_default_config_when_given_none():
     default = OptimizerConfig()
     report = accessible_information(zero_plus())
-    # every seeded ascent plus the qubit projective scan
+    # the eigenbasis and pretty-good-measurement starts plus the random ones
     assert report.restarts_used == default.restarts + 1
     assert report.to_json() == accessible_information(zero_plus(), default).to_json()
 
@@ -231,6 +238,99 @@ def test_acc_info_returns_an_extremal_measurement(make):
     hermitian, stationary = extremality_residuals(e, report.best_povm)
     assert hermitian <= 1e-6
     assert stationary <= 1e-6
+
+
+def pgm_rows(e: Ensemble) -> np.ndarray:
+    spectrum = np.linalg.eigh(e.average_state().mat)
+    return accinfo._pgm_rows(e.probs, np.stack([s.mat for s in e.states]), spectrum)
+
+
+def optimal_zero_plus_basis(e: Ensemble) -> np.ndarray:
+    c8, s8 = np.cos(np.pi / 8), np.sin(np.pi / 8)
+    return np.array([[-c8, s8], [s8, c8]], dtype=complex)
+
+
+@pytest.mark.parametrize("make, start_of, value", [
+    (zero_plus, optimal_zero_plus_basis, I_ACC_ZERO_PLUS),
+    (trine, pgm_rows, 1 / 3),
+], ids=["zero-plus-optimum", "trine-pgm"])
+def test_ascend_stops_at_a_stationary_start(monkeypatch, make, start_of, value):
+    # completion undoes each step up to rounding here; the start once
+    # alternated between a kept and a rejected step until max_iters
+    e = make()
+    start = start_of(e)[None]
+    calls = []
+    complete = accinfo._complete
+    monkeypatch.setattr(accinfo, "_complete", lambda c: calls.append(1) or complete(c))
+    vals, b = accinfo._ascend(e.probs, np.stack([s.mat for s in e.states]), start, 2000)
+    assert len(calls) <= 50
+    assert vals[0] == pytest.approx(value, abs=1e-12)
+    assert np.abs(b - start).max() <= 1e-15
+
+
+def random_ket_pair(d: int) -> Ensemble:
+    rng = np.random.default_rng(5)
+    kets = []
+    for _ in range(2):
+        k = rng.normal(size=d) + 1j * rng.normal(size=d)
+        kets.append(k / np.linalg.norm(k))
+    return Ensemble([(0.5, DensityMatrix(np.outer(k, k.conj()))) for k in kets])
+
+
+@pytest.mark.parametrize("d, expected", [(2, 0.172890), (3, 0.689866), (4, 0.443086)])
+def test_acc_info_one_restart_lifts_an_equiprobable_pure_pair(d, expected):
+    # the eigenbasis start is a zero-information stationary point here, and
+    # the average state has rank 2, so the measurement needs its null rows
+    e = random_ket_pair(d)
+    report = accessible_information(e, OptimizerConfig(restarts=1))
+    assert report.value == pytest.approx(expected, abs=1e-6)
+    assert report.value == pytest.approx(accessible_information(e).value, abs=1e-6)
+    assert mutual_information(e, report.best_povm) == pytest.approx(report.value, abs=1e-10)
+
+
+def mixed_and_pure_triple(d: int) -> Ensemble:
+    mixed = DensityMatrix(random_density_matrix(d, seed=60 + d))
+    pures = [DensityMatrix(np.outer(k, k.conj())) for k in
+             (random_pure_state(d, seed=70 + d), random_pure_state(d, seed=80 + d))]
+    return Ensemble(list(zip((0.5, 0.3, 0.2), [mixed, *pures])))
+
+
+@pytest.mark.parametrize("make", [seeded_pair, mixed_and_pure_triple], ids=["pair", "triple"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_acc_info_batch_matches_each_start_alone(make, d):
+    # zero rows pad the starts to one row count; they must not move any start
+    e = make(d)
+    cfg = OptimizerConfig(restarts=4, max_iters=300)
+    report = accessible_information(e, cfg)
+    probs, states = e.probs, np.stack([s.mat for s in e.states])
+    spectrum = np.linalg.eigh(e.average_state().mat)
+    g = rng_from(cfg.seed).normal(size=(cfg.restarts - 1, 2, d * d, d))
+    starts = [
+        spectrum[1].T,
+        accinfo._pgm_rows(probs, states, spectrum),
+        *accinfo._complete(g[:, 0] + 1j * g[:, 1]),
+    ]
+    assert report.restarts_used == len(report.mutual_info_per_restart) == cfg.restarts + 1
+    for got, start in zip(report.mutual_info_per_restart, starts):
+        alone, _ = accinfo._ascend(probs, states, start[None], cfg.max_iters)
+        assert got == pytest.approx(float(alone[0]), abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [trine, lambda: random_ket_pair(3), lambda: random_ket_pair(4),
+                                  lambda: mixed_and_pure_triple(3)],
+                         ids=["trine", "kets-3", "kets-4", "triple-3"])
+def test_pgm_rows_complete_to_the_identity(make):
+    rows = pgm_rows(make())
+    assert np.allclose(rows.T @ rows.conj(), np.eye(rows.shape[1]), atol=1e-12)
+
+
+def test_pgm_rows_are_the_trine_square_root_measurement():
+    # the trine's pretty good measurement is {(2/3)|psi_k><psi_k|}
+    e = trine()
+    rows = pgm_rows(e)
+    q = np.array([[np.vdot(b, s.mat @ b).real for b in rows] for s in e.states])
+    expected = np.full((3, 3), 1 / 6) + np.eye(3) / 2
+    assert np.allclose(np.sort(q, axis=1), np.sort(expected, axis=1), atol=1e-12)
 
 
 def test_acc_info_dimension_cap():

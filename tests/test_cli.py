@@ -130,7 +130,7 @@ def test_extension_commands_reject_restart_flags(orthogonal_file, argv):
 def test_acc_info_command(capsys, zero_plus_file):
     blob = run_json(capsys, ["acc-info", zero_plus_file, "--restarts", "2"])
     assert blob["value"] == pytest.approx(0.3991, abs=2e-3)
-    # two ascent starts plus the deterministic qubit scan candidate
+    # the eigenbasis and pretty-good-measurement starts plus one random start
     assert blob["restarts_used"] == len(blob["mutual_info_per_restart"]) >= 2
     assert "best_povm" in blob
 
