@@ -207,14 +207,15 @@ def _ascend(probs: np.ndarray, states: np.ndarray, b: np.ndarray, max_iters: int
     nats) with respect to M_k, and restores completeness (Rehacek, Englert and
     Kaszlikowski, PRA 71, 054303 (2005)).  eps doubles after an accepted step
     and halves within a step until the information does not fall.  A start
-    stops after ``max_iters`` steps, or when a step changes in floating point
-    neither its vectors nor, once completed, their outcome probabilities: at
-    an exact stationary point, such as the trine's pretty good measurement,
-    completion undoes the step up to rounding, and the start would otherwise
-    alternate between a kept step at eps and a rejected one at 2 eps.  Steps
-    on which the value only holds are kept: near a saddle the gains fall
-    below rounding long before the ascent has left it.  Returns (values in
-    bits, vectors), one per start.
+    stops after ``max_iters`` steps, or once it is stationary in floating
+    point: a step leaves its vectors unchanged, or its completed step leaves
+    every outcome probability bit-identical even though the vectors moved.
+    At an exact stationary point, such as the trine's pretty good
+    measurement, completion undoes the step up to rounding, and the start
+    would otherwise alternate between a kept step at eps and a rejected one
+    at 2 eps.  Steps that change the probabilities but only hold the value
+    are kept: near a saddle the gains fall below rounding long before the
+    ascent has left it.  Returns (values in bits, vectors), one per start.
     """
     b = b.copy()
     q, rb = _outcomes(states, b)
@@ -247,15 +248,25 @@ def _pgm_rows(probs: np.ndarray, states: np.ndarray, spectrum) -> np.ndarray:
     its ``(w, v)`` from ``np.linalg.eigh`` (Hausladen and Wootters, J. Mod.
     Opt. 41, 2385 (1994)).  Each eigenpair (w, v) of an M_i above EIG_FLOOR
     gives the row sqrt(w) v.  The M_i sum to the projector onto A's support,
-    so each null direction of A adds one row: without them a rank-deficient A
-    (an equiprobable pure pair at d = 3 or 4) gives rows that Povm rejects.
+    so the rest, 1 - sum of the rows' elements, adds one row per eigenpair:
+    without them a rank-deficient A (an equiprobable pure pair at d = 3 or 4)
+    gives rows that Povm rejects.  When that would make more than d^2 rows
+    (many or mixed members), only the d^2 - d heaviest rows are kept and the
+    rest, now at most d rows, absorbs the others, so the start is no wider
+    than the random ones.
     """
-    lam, vecs = spectrum
+    lam = spectrum[0]
+    d = len(lam)
     root = _k.matrix_function(None, "inv_sqrt_on_support", spectrum)
     w, v = np.linalg.eigh(probs[:, None, None] * (root @ states @ root))
+    w, rows = w.ravel(), np.swapaxes(v, -1, -2).reshape(-1, d)
     keep = w > _k.EIG_FLOOR
-    rows = np.sqrt(w[keep])[:, None] * np.swapaxes(v, -1, -2)[keep]
-    return _complete(np.concatenate([rows, vecs.T[lam <= _k.EIG_FLOOR]]))
+    if keep.sum() + (lam <= _k.EIG_FLOOR).sum() > d * d:
+        keep[np.argsort(-w, kind="stable")[d * d - d:]] = False
+    rows = np.sqrt(w[keep])[:, None] * rows[keep]
+    mu, u = np.linalg.eigh(np.eye(d) - rows.T @ rows.conj())
+    rest = mu > _k.EIG_FLOOR
+    return _complete(np.concatenate([rows, (np.sqrt(mu[rest]) * u[:, rest]).T]))
 
 
 def accessible_information(
@@ -266,11 +277,11 @@ def accessible_information(
     Runs ``cfg.restarts + 1`` fixed-point ascents over rank-one measurements
     in one batch, each capped at ``cfg.max_iters`` steps: the first starts at
     the eigenbasis of the average state (d outcomes, exact for commuting
-    ensembles), the second at the pretty good measurement, and each of the
-    ``cfg.restarts - 1`` others at a seeded random set of d^2 vectors.  The
-    starts are padded with zero rows to one row count; a zero row stays zero
-    and is dropped from the returned measurement.  The best start wins; ties
-    keep the earliest.
+    ensembles), the second at the pretty good measurement (at most d^2 rows,
+    see _pgm_rows), and each of the ``cfg.restarts - 1`` others at a seeded
+    random set of d^2 vectors.  The starts are padded with zero rows to one
+    row count, at most d^2; a zero row stays zero and is dropped from the
+    returned measurement.  The best start wins; ties keep the earliest.
     """
     cfg = cfg or OptimizerConfig()
     d = e.dim

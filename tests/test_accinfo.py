@@ -240,6 +240,22 @@ def test_acc_info_returns_an_extremal_measurement(make):
     assert stationary <= 1e-6
 
 
+def test_ascend_leaves_a_start_near_a_saddle():
+    # the eigenbasis of {|0>,|+>} is a zero-information saddle; a start
+    # turned 1e-8 rad off it begins at rounding level and must still climb
+    e = zero_plus()
+    states = np.stack([s.mat for s in e.states])
+    turn = np.array([[np.cos(1e-8), -np.sin(1e-8)], [np.sin(1e-8), np.cos(1e-8)]])
+    start = (turn @ np.linalg.eigh(e.average_state().mat)[1]).T.astype(complex)
+    before = accinfo._mutual_info_bits(e.probs, accinfo._outcomes(states, start)[0])
+    vals, b = accinfo._ascend(e.probs, states, start[None], 2000)
+    assert before <= 1e-15
+    assert vals[0] == pytest.approx(I_ACC_ZERO_PLUS, abs=1e-9)
+    hermitian, stationary = extremality_residuals(e, Povm([np.outer(v, v.conj()) for v in b[0]]))
+    assert hermitian <= 1e-6
+    assert stationary <= 1e-6
+
+
 def pgm_rows(e: Ensemble) -> np.ndarray:
     spectrum = np.linalg.eigh(e.average_state().mat)
     return accinfo._pgm_rows(e.probs, np.stack([s.mat for s in e.states]), spectrum)
@@ -295,7 +311,14 @@ def mixed_and_pure_triple(d: int) -> Ensemble:
     return Ensemble(list(zip((0.5, 0.3, 0.2), [mixed, *pures])))
 
 
-@pytest.mark.parametrize("make", [seeded_pair, mixed_and_pure_triple], ids=["pair", "triple"])
+def many_mixed(d: int) -> Ensemble:
+    # 3d full-rank members: the pretty good measurement has 3d^2 rank-one rows
+    return Ensemble([(1 / (3 * d), DensityMatrix(random_density_matrix(d, seed=90 + j)))
+                     for j in range(3 * d)])
+
+
+@pytest.mark.parametrize("make", [seeded_pair, mixed_and_pure_triple, many_mixed],
+                         ids=["pair", "triple", "many-mixed"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_acc_info_batch_matches_each_start_alone(make, d):
     # zero rows pad the starts to one row count; they must not move any start
@@ -311,14 +334,18 @@ def test_acc_info_batch_matches_each_start_alone(make, d):
         *accinfo._complete(g[:, 0] + 1j * g[:, 1]),
     ]
     assert report.restarts_used == len(report.mutual_info_per_restart) == cfg.restarts + 1
+    # d^2 rank-one outcomes suffice, so no start widens the batch beyond d^2 rows
+    assert max(len(start) for start in starts) <= d * d
     for got, start in zip(report.mutual_info_per_restart, starts):
         alone, _ = accinfo._ascend(probs, states, start[None], cfg.max_iters)
         assert got == pytest.approx(float(alone[0]), abs=1e-12)
 
 
 @pytest.mark.parametrize("make", [trine, lambda: random_ket_pair(3), lambda: random_ket_pair(4),
-                                  lambda: mixed_and_pure_triple(3)],
-                         ids=["trine", "kets-3", "kets-4", "triple-3"])
+                                  lambda: mixed_and_pure_triple(3), lambda: many_mixed(2),
+                                  lambda: many_mixed(4)],
+                         ids=["trine", "kets-3", "kets-4", "triple-3", "many-mixed-2",
+                              "many-mixed-4"])
 def test_pgm_rows_complete_to_the_identity(make):
     rows = pgm_rows(make())
     assert np.allclose(rows.T @ rows.conj(), np.eye(rows.shape[1]), atol=1e-12)
