@@ -12,9 +12,13 @@ one site and ``subtract_at_sites`` subtracts one at every site, each in one
 indexed, in-place call.  ``partial_trace`` and ``site_view`` serve ``densmat``'s
 public functions, ``embed_at_site`` and the table's construction.
 
+``site_rows(d, n)``, a second cached table, groups the rows of a d**n x d**n
+matrix by one site's level; ``extopt``'s Newton projection reads each site's
+matrix units in an eigenbasis off it.
+
 ``copies`` (every sum of weighted n-fold copies), ``holevo_bits`` and
 ``marginal_residual`` are the one builder of each extension object;
-``marginal_residual`` is also the residual of Dykstra's stop test.
+``marginal_residual`` is also the residual of both projections' stop tests.
 ``holevo_from_entropies``, the Holevo sum behind ``holevo_bits``, takes
 eigenvalues and entropies a caller already has, as ``extopt``'s refine does
 with the spectra each of its rounds computes.
@@ -186,6 +190,21 @@ def site_index(d: int, n: int) -> np.ndarray:
     idx = np.stack([site_view(pos, dims, k).reshape(-1, d, d) for k in range(n)])
     idx.setflags(write=False)
     return idx
+
+
+@functools.lru_cache(maxsize=None)
+def site_rows(d: int, n: int) -> np.ndarray:
+    """Row indices of a d**n x d**n matrix grouped by one site's level.
+
+    Shape (n, d, d**(n-1)), cached and read-only: entry [k, a, j] is the row
+    whose site-k level is a and whose other n-1 levels, in site order, are j.
+    For a unitary v, ``v[rows[k, a]].conj().T @ v[rows[k, b]]`` is
+    I x |a><b| x I, with |a><b| at site k, in the basis of v's columns.
+    """
+    levels = np.arange(d**n).reshape((d,) * n)
+    rows = np.stack([np.moveaxis(levels, k, 0).reshape(d, -1) for k in range(n)])
+    rows.setflags(write=False)
+    return rows
 
 
 def site_marginals(x: np.ndarray, d: int, n: int, site=None) -> np.ndarray:

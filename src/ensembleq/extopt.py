@@ -11,11 +11,20 @@ local solver once, from a start inside the feasible set:
   geometry, then its certificate (the projected-gradient mapping norm, plus a
   kernel-alignment test and an interior-escape blend on a boundary face).  An
   uncertified point is reported without further descent.  A point that misses
-  the marginal set is first projected back onto it with Dykstra's projections;
+  the marginal set is first projected back onto it with the Newton projection;
   its certificate survives only if that leaves chi in place.
-* fidelity_q: projected gradient descent with Armijo backtracking; feasibility
-  is restored after each step with Dykstra alternating projections between
-  the PSD cone and the affine marginal constraints.
+* fidelity_q: projected gradient descent with Armijo backtracking; each trial
+  step is projected back onto the feasible set with the Newton projection.
+
+Two solvers project onto {X psd, every site marginal = target}.  The Newton
+projection, a semismooth Newton method on the projection's dual in the site
+multipliers, serves project_feasible, fidelity_q's line search and chi_q's
+feasibility restoration.  Dykstra's alternating projections between the PSD
+cone and the affine marginal set serve only the probes of the
+projected-gradient certificate of both objectives.  The face-pinned probes
+rely on how Dykstra ends on a face that cannot hold the target (below); the
+full-rank probes start next to the feasible set and mostly end after one
+iteration.
 
 Dykstra stops at the first of three events: the marginal residual reaches
 DYKSTRA_TOL, DYKSTRA_ITERS iterations, or a plateau (the residual fell by
@@ -89,10 +98,11 @@ REFINE_ROUNDS = 1500
 SCALING_SWEEPS = 2
 #: Cap on fidelity_q's descent steps.
 DESCENT_STEPS = 2000
-#: Cap on the iterations of every Dykstra projection (project_feasible, both
-#: certificates, fidelity_q's line search, chi_q's feasibility restoration).
+#: Cap on the iterations of every Dykstra projection (the certificate probes
+#: of both objectives) and on the steps of every Newton projection
+#: (project_feasible, fidelity_q's line search, chi_q's feasibility restoration).
 DYKSTRA_ITERS = 500
-#: Dykstra returns once the marginal residual is at most this.
+#: Both projections return once the marginal residual is at most this.
 DYKSTRA_TOL = 1e-9
 #: Dykstra leaves its loop once the marginal residual is at least
 #: (1 - PLATEAU_RTOL) times its value PLATEAU_WINDOW iterations earlier.
@@ -342,8 +352,8 @@ def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
     """The unique feasible extension of a pure target, or None if mixed.
 
     A pure single-site marginal admits no correlations, so the feasible set
-    collapses to the n-fold product of the target's top eigenvector; Dykstra
-    would creep toward that lone extreme point sublinearly, so it is returned
+    collapses to the n-fold product of the target's top eigenvector; either
+    projection would creep toward that lone extreme point, so it is returned
     directly.
     """
     psi = _k.pure_vector(target)
@@ -371,11 +381,12 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     q = np.zeros_like(y)
     resids = []
     for it in range(DYKSTRA_ITERS):
-        a = _project_affine(y + p, target, target_trace, d, n)
-        p = y + p - a
-        b = a + q if face is None else face @ (a + q) @ face
-        y = _project_psd(b)
-        q = a + q - y
+        yp = y + p
+        a = _project_affine(yp, target, target_trace, d, n)
+        p = yp - a
+        aq = a + q
+        y = _project_psd(aq if face is None else face @ aq @ face)
+        q = aq - y
         resid = _k.marginal_residual([y], [target], d, n)
         if resid <= DYKSTRA_TOL:
             return y
@@ -391,6 +402,97 @@ def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
     return y
 
 
+def _clip_point(x: np.ndarray, mults: np.ndarray, target: np.ndarray, d: int, n: int):
+    """The dual's primal point P+(x + sum_k mults[k] at site k), and its spectrum.
+
+    Returns ``(X, w, v, g, f)``: X, the eigenpairs (w, v) of the shifted
+    matrix, the dual gradient g[k] = target - marginal_k(X), and the dual
+    objective to minimise, f = |X|^2 / 2 - sum_k <mults[k], target>.
+    """
+    z = x.astype(complex)
+    _k.subtract_at_sites(z, -mults, d, n)
+    w, v = np.linalg.eigh(z)
+    clipped = np.maximum(w, 0.0)
+    X = (v * clipped) @ v.conj().T
+    g = target - _k.site_marginals(X, d, n)
+    f = 0.5 * float(clipped @ clipped) - float((mults.conj() * target).real.sum())
+    return X, w, v, g, f
+
+
+def _clip_hessian(w: np.ndarray, v: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The dual's generalized Hessian in the site matrix units |a><b|.
+
+    Entry [(k, a, b), (l, c, e)] is <U_kab, Omega o U_lce>, where U_kab is
+    I x |a><b| x I at site k in the eigenbasis v and Omega holds the Lowner
+    divided differences of max(w, 0): 1 between positive eigenvalues, 0
+    between the rest, and the difference quotient across the sign change.
+    """
+    pos = w > 0.0
+    clipped = np.maximum(w, 0.0)
+    same = pos[:, None] == pos[None, :]
+    omega = np.where(same, pos[:, None] * 1.0,
+                     (clipped[:, None] - clipped[None, :])
+                     / np.where(same, 1.0, w[:, None] - w[None, :]))
+    u = v[_k.site_rows(d, n)]  # (n, d, D/d, D)
+    units = (u.conj().swapaxes(-1, -2)[:, :, None] @ u[:, None]).reshape(n * d * d, -1)
+    return units.conj() @ (units * omega.ravel()).T
+
+
+def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Euclidean projection of Hermitian x onto {X psd, every site marginal = target}.
+
+    Semismooth Newton on the projection's concave dual in the n site
+    multipliers Y_k (Malick, SIAM J. Matrix Anal. Appl. 26, 272 (2004); Qi
+    and Sun, ibid. 28, 360 (2006)): X(Y) = P+(x + sum_k Y_k at site k) and
+    the gradient is target - marginal_k(X(Y)).  Each step solves the
+    generalized Hessian (_clip_hessian) plus a ridge min(1e-2, |g|), which
+    fixes the n - 1 trace shifts that cancel across sites and vanishes as
+    the gradient does.  A step is taken by Armijo backtracking on the dual
+    objective; the full step also passes when it at least halves the
+    marginal residual, since near the solution the dual's change falls below
+    rounding well before the residual reaches DYKSTRA_TOL.  The loop returns
+    at DYKSTRA_TOL and ends once no step size passes (its sufficient decrease
+    rounds away), or after DYKSTRA_ITERS steps; an end above FEAS_TOL raises
+    NumericalFailure.
+    """
+    point = _pure_target_point(target, n)
+    if point is not None:
+        return point
+    x = _k.hermitize(x)
+    mults = np.zeros((n, d, d), dtype=complex)
+    X, w, v, g, f = _clip_point(x, mults, target, d, n)
+    resid = _k.marginal_residual([X], [target], d, n)
+    for it in range(DYKSTRA_ITERS):
+        if resid <= DYKSTRA_TOL:
+            return X
+        # solved through eigh, which every solver loop already uses: a first
+        # np.linalg.solve call alone adds about 0.4 MB of resident LAPACK code
+        lam, q = np.linalg.eigh(_clip_hessian(w, v, d, n))
+        lam = np.maximum(lam, 0.0) + min(1e-2, float(np.linalg.norm(g)))
+        step = q @ ((q.conj().T @ g.ravel()) / lam)
+        step = _k.hermitize(step.reshape(n, d, d))
+        slope = float(np.vdot(g, step).real)
+        t = 1.0
+        while True:
+            trial = _clip_point(x, mults + t * step, target, d, n)
+            trial_resid = _k.marginal_residual([trial[0]], [target], d, n)
+            passed = (trial[-1] <= f - ARMIJO_C * t * slope
+                      or (t == 1.0 and trial_resid <= 0.5 * resid))
+            if passed or f - ARMIJO_C * 0.5 * t * slope >= f:
+                break
+            t *= 0.5
+        if not passed:
+            break  # the next step's sufficient decrease would round away
+        mults = mults + t * step
+        (X, w, v, g, f), resid = trial, trial_resid
+    if resid > FEAS_TOL:
+        raise NumericalFailure(
+            f"Newton projection stalled at marginal residual {resid:.3e} "
+            f"after {it + 1} steps"
+        )
+    return X
+
+
 def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
     """Project a Hermitian matrix onto the feasible set of ``target``'s extensions."""
     target = _as_state(target)
@@ -400,7 +502,7 @@ def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
         raise InvalidInput(
             f"input shape {a.shape} does not match extension dimension {d**n}"
         )
-    y = _dykstra(a, target.mat, d, n)
+    y = _newton_project(a, target.mat, d, n)
     y = _project_psd(y)
     y = y / np.trace(y).real
     return DensityMatrix(y)
@@ -539,7 +641,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray], d: int, n:
         accepted = False
         while s >= 1e-13:
             try:
-                trial = [_snap_small(_dykstra(xi - s * gi, t, d, n))
+                trial = [_snap_small(_newton_project(xi - s * gi, t, d, n))
                          for xi, gi, t in zip(x, g, targets)]
             except NumericalFailure:
                 # trial too far from the feasible set to project; back off
@@ -576,7 +678,7 @@ def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
 
     The certificate is the projected-gradient mapping norm at the snapped
     refined point, plus _chi_face_check.  No descent step follows.  A point
-    that misses the marginals by more than FEAS_TOL is replaced by its Dykstra
+    that misses the marginals by more than FEAS_TOL is replaced by its Newton
     projection, which keeps the certificate only if chi moves by at most
     SAT_TOL, or by the uncertified start if the projection fails; every
     reported value is attained at a feasible point.
@@ -590,7 +692,7 @@ def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
         # the refine's last scaling round can end a little off the marginal
         # set, and a refine that cycles can end far from it
         try:
-            y = [_snap_small(_dykstra(xi, t, d, n)) for xi, t in zip(x, targets)]
+            y = [_snap_small(_newton_project(xi, t, d, n)) for xi, t in zip(x, targets)]
         except NumericalFailure:
             return list(x0), chi_objective(x0, probs), 1, False
         fy = chi_objective(y, probs)

@@ -19,6 +19,7 @@ from ensembleq.errors import (
 from ensembleq.extopt import (
     DESCENT_STEPS,
     DYKSTRA_ITERS,
+    DYKSTRA_TOL,
     FEAS_TOL,
     STALL_TOL,
     STEP_INIT,
@@ -31,6 +32,7 @@ from ensembleq.extopt import (
     chi_q_infinite_pure,
     fidelity_q,
     _dykstra,
+    _newton_project,
     _project_affine,
     _project_psd,
     _pure_target_point,
@@ -266,6 +268,93 @@ def test_project_feasible_rejects_shape_mismatch():
 def test_project_feasible_rejects_non_finite_input():
     with pytest.raises(InvalidInput, match="non-finite"):
         project_feasible(np.full((4, 4), np.nan), KET0, 2)
+
+
+SEEDED_SITES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2), (4, 3), (8, 2)]
+
+
+def _seeded_inputs(d: int, n: int):
+    """A Ginibre target t and the starts h and t^(x)n + 0.1 h, from default_rng(100 d + n)."""
+    rng = np.random.default_rng(100 * d + n)
+    target = random_density_matrix(d, seed=rng)
+    g = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
+    h = (g + g.conj().T) / (2 * d**n)
+    return target, [h, _power(target, n) + 0.1 * h]
+
+
+@pytest.mark.parametrize("d, n", SEEDED_SITES)
+def test_project_feasible_reaches_the_marginals_on_seeded_inputs(d, n):
+    # Dykstra's 500 iterations left nine of these twenty above FEAS_TOL
+    target, starts = _seeded_inputs(d, n)
+    for x in starts:
+        point = project_feasible(x, DensityMatrix(target), n).mat
+        assert np.linalg.eigvalsh(point)[0] >= -1e-12
+        assert marginal_residual([point], [target], d, n) <= DYKSTRA_TOL
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
+def test_newton_projection_agrees_with_dykstra(d, n):
+    target, starts = _seeded_inputs(d, n)
+    agreed = 0
+    for x in starts:
+        try:
+            ref = _dykstra(x, target, d, n)
+        except NumericalFailure:
+            continue  # (3, 2) from h: Dykstra stalls there
+        assert np.linalg.norm(_newton_project(x, target, d, n) - ref) <= 1e-7
+        agreed += 1
+    assert agreed >= 1
+
+
+def test_newton_projection_fails_loudly_on_an_unreachable_target():
+    # no PSD matrix has a marginal with a negative eigenvalue
+    target = np.diag([0.6, 0.6, -0.2]).astype(complex)
+    with pytest.raises(NumericalFailure, match="Newton projection stalled"):
+        _newton_project(np.eye(9, dtype=complex) / 9, target, 3, 2)
+
+
+def test_only_the_certificate_probes_run_dykstra(monkeypatch):
+    # the line search and chi_q's restoration project by Newton; every probe
+    # of the projected-gradient mapping, face-pinned or not, stays on Dykstra
+    calls = []
+    probing = []
+    pg_mapping_norm = extopt._pg_mapping_norm
+
+    def probe(*args):
+        probing.append(True)
+        try:
+            return pg_mapping_norm(*args)
+        finally:
+            probing.pop()
+
+    def dykstra(x, target, d, n, face=None):
+        calls.append(("dykstra", bool(probing), face is not None))
+        return _dykstra(x, target, d, n, face)
+
+    def newton(x, target, d, n):
+        calls.append(("newton", bool(probing), False))
+        return _newton_project(x, target, d, n)
+
+    monkeypatch.setattr(extopt, "_pg_mapping_norm", probe)
+    monkeypatch.setattr(extopt, "_dykstra", dykstra)
+    monkeypatch.setattr(extopt, "_newton_project", newton)
+
+    e = hard_pair()
+    assert fidelity_q(e.states[0], e.states[1], 2).converged
+    kinds = {(kind, inside) for kind, inside, _ in calls}
+    assert kinds == {("newton", False), ("dykstra", True)}
+
+    calls.clear()
+    chi_q(seed_pair(), 2)
+    assert any(kind == "dykstra" and pinned for kind, _, pinned in calls)
+    assert all(inside for kind, inside, _ in calls if kind == "dykstra")
+
+    calls.clear()
+    targets = [s.mat for s in seed_pair().states]
+    bad = [np.kron(t, np.eye(2) / 2) for t in targets]
+    monkeypatch.setattr(extopt, "_entropic_refine", lambda *args: (bad, 0.0))
+    chi_q(seed_pair(), 2)
+    assert [kind for kind, inside, _ in calls if not inside] == ["newton", "newton"]
 
 
 def _count_affine_projections(monkeypatch) -> list:
@@ -689,9 +778,9 @@ def test_chi_face_check_returns_a_lower_interior_blend():
     assert marginal_residual(esc, targets, 2, 2) <= 1e-14
 
 
-@pytest.mark.parametrize("dykstra_fails", [False, True])
+@pytest.mark.parametrize("restoration_fails", [False, True])
 def test_chi_q_reports_a_feasible_point_when_the_refine_misses_the_marginals(
-        monkeypatch, dykstra_fails):
+        monkeypatch, restoration_fails):
     # rho_i (x) I/2 misses the second-site marginals but has chi equal to the
     # baseline, so reported as it is it would pass as saturated and certified
     e = seed_pair()
@@ -700,15 +789,15 @@ def test_chi_q_reports_a_feasible_point_when_the_refine_misses_the_marginals(
     assert chi_objective(bad, e.probs) == pytest.approx(holevo(e), abs=1e-12)
     assert marginal_residual(bad, targets, 2, 2) > 0.1
     monkeypatch.setattr(extopt, "_entropic_refine", lambda *args: (bad, 0.0))
-    if dykstra_fails:
+    if restoration_fails:
         def failing(*args, **kwargs):
             raise NumericalFailure("stalled")
-        monkeypatch.setattr(extopt, "_dykstra", failing)
+        monkeypatch.setattr(extopt, "_newton_project", failing)
     r = chi_q(e, 2)
     start = chi_objective([extopt._interior_start(t, 2) for t in targets], e.probs)
     assert r.feasibility_residual <= FEAS_TOL and not r.converged
     assert r.value > 1e-4
-    if dykstra_fails:
+    if restoration_fails:
         assert r.objective_at_optimum == pytest.approx(start, abs=1e-12)
     else:
         assert r.objective_at_optimum < start
