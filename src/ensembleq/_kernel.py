@@ -18,7 +18,7 @@ matrix units in an eigenbasis off it.
 
 ``copies`` (every sum of weighted n-fold copies), ``holevo_bits`` and
 ``marginal_residual`` are the one builder of each extension object;
-``marginal_residual`` is also the residual of both projections' stop tests.
+``marginal_residual`` is also the residual of the Newton projection's stop test.
 ``holevo_from_entropies``, the Holevo sum behind ``holevo_bits``, takes
 eigenvalues and entropies a caller already has, as ``extopt``'s refine does
 with the spectra each of its rounds computes.
@@ -167,14 +167,6 @@ def embed_at_site(op: np.ndarray, dims: tuple, site: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def identity(dim: int) -> np.ndarray:
-    """The complex dim x dim identity, cached and read-only."""
-    eye = np.eye(dim, dtype=complex)
-    eye.setflags(write=False)
-    return eye
-
-
-@functools.lru_cache(maxsize=None)
 def site_index(d: int, n: int) -> np.ndarray:
     """Flat positions of a d**n x d**n matrix that its single-site marginals sum.
 
@@ -217,7 +209,7 @@ def site_marginals(x: np.ndarray, d: int, n: int, site=None) -> np.ndarray:
     """
     idx = site_index(d, n) if site is None else site_index(d, n)[site]
     # a flat gather from one matrix is several times cheaper than an indexed
-    # last axis, and Dykstra gathers twice per iteration
+    # last axis, and every Newton step and trial step gathers once
     g = x.ravel()[idx] if x.ndim == 2 else x.reshape(len(x), -1)[:, idx]
     g = g.reshape(g.shape[:-3] + (d,) * (n - 1) + (d, d))
     for _ in range(n - 1):
@@ -247,8 +239,10 @@ def subtract_at_sites(x: np.ndarray, ops: np.ndarray, d: int, n: int) -> None:
 def marginal_residual(mats, targets, d: int, n: int) -> float:
     """Largest Frobenius deviation of any single-site marginal from its target.
 
-    The one residual formula of Dykstra's stop test and of every report: per
-    matrix, one gather of its n marginals and sqrt(max(sum(re**2 + im**2))).
+    Each target is one (d, d) marginal for every site or an (n, d, d) stack
+    with one per site.  The one residual formula of the Newton projection's
+    stop test and of every report: per matrix, one gather of its n marginals
+    and sqrt(max(sum(re**2 + im**2))).
     """
     # matrix by matrix: stacking the list first costs a copy of every matrix
     squares = []

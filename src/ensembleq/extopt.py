@@ -16,26 +16,16 @@ local solver once, from a start inside the feasible set:
 * fidelity_q: projected gradient descent with Armijo backtracking; each trial
   step is projected back onto the feasible set with the Newton projection.
 
-Two solvers project onto {X psd, every site marginal = target}.  The Newton
+One solver projects onto {X psd, every site marginal = target}: the Newton
 projection, a semismooth Newton method on the projection's dual in the site
-multipliers, serves project_feasible, fidelity_q's line search and chi_q's
-feasibility restoration.  Dykstra's alternating projections between the PSD
-cone and the affine marginal set serve only the probes of the
-projected-gradient certificate of both objectives.  The face-pinned probes
-rely on how Dykstra ends on a face that cannot hold the target (below); the
-full-rank probes start next to the feasible set and mostly end after one
-iteration.
-
-Dykstra stops at the first of three events: the marginal residual reaches
-DYKSTRA_TOL, DYKSTRA_ITERS iterations, or a plateau (the residual fell by
-less than a relative PLATEAU_RTOL over the last PLATEAU_WINDOW iterations).
-The plateau is how a projection ends whose two sets do not meet.  That happens
-on the face-pinned probes of the stationarity certificate: the support face is
-read off a snapped iterate, whose marginals may miss the targets by about
-SNAP_TOL, so the PSD matrices on that face need not contain any point of the
-marginal set.  Dykstra then converges to the gap between the sets (Bauschke
-and Borwein, J. Approx. Theory 79, 418 (1994)) and further iterations change
-nothing.  A plateau above FEAS_TOL still fails the projection.
+multipliers.  It serves project_feasible, fidelity_q's line search, chi_q's
+feasibility restoration and the probes of the projected-gradient certificate
+of both objectives.  A probe projects onto the set through the probed point:
+the PSD matrices on the point's support face whose site marginals are the
+point's own.  That set holds the point, so the projection's dual is bounded
+and Newton converges.  The true targets would not do on a face: the face is
+read off a snapped point, whose marginals may miss the targets by about
+SNAP_TOL, so the PSD matrices on it need not meet the targets' marginal set.
 
 The entropic refine runs its relative-entropy projections on all free
 members at once, as one stack of matrices, and returns snapped points.
@@ -98,16 +88,10 @@ REFINE_ROUNDS = 1500
 SCALING_SWEEPS = 2
 #: Cap on fidelity_q's descent steps.
 DESCENT_STEPS = 2000
-#: Cap on the iterations of every Dykstra projection (the certificate probes
-#: of both objectives) and on the steps of every Newton projection
-#: (project_feasible, fidelity_q's line search, chi_q's feasibility restoration).
-DYKSTRA_ITERS = 500
-#: Both projections return once the marginal residual is at most this.
-DYKSTRA_TOL = 1e-9
-#: Dykstra leaves its loop once the marginal residual is at least
-#: (1 - PLATEAU_RTOL) times its value PLATEAU_WINDOW iterations earlier.
-PLATEAU_WINDOW = 10
-PLATEAU_RTOL = 1e-6
+#: Cap on the steps of every Newton projection.
+PROJECTION_STEPS = 500
+#: The Newton projection returns once the marginal residual is at most this.
+PROJECTION_TOL = 1e-9
 
 __all__ = [
     "DIM_CAP",
@@ -196,23 +180,6 @@ class QuantumnessReport:
 # ---------------------------------------------------------------------------
 # feasible-set projections
 # ---------------------------------------------------------------------------
-
-def _project_affine(x: np.ndarray, target: np.ndarray, target_trace: complex,
-                    d: int, n: int) -> np.ndarray:
-    """Orthogonal projection onto {Y : every single-site marginal of Y = target}.
-
-    Closed form: subtract a global trace correction plus one traceless
-    marginal-deviation correction embedded at each site.  ``target_trace`` is
-    ``np.trace(target)``.
-    """
-    big = d**n
-    t = (x.trace() - target_trace).real
-    y = np.ascontiguousarray(x - (t / big) * _k.identity(big))
-    r = _k.site_marginals(x, d, n) - target
-    r_traceless = r - (r.trace(axis1=1, axis2=2) / d)[:, None, None] * _k.identity(d)
-    _k.subtract_at_sites(y, r_traceless / d ** (n - 1), d, n)
-    return y
-
 
 def _project_psd(x: np.ndarray) -> np.ndarray:
     h = _k.hermitize(x)
@@ -333,26 +300,25 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
             # a meaningful number of rounds rather than round-to-round noise
             if since_check < 25 and np.isfinite(last_pg):
                 continue
-            snapped, pg = _chi_certificate(E, probs, targets, d, n)
+            snapped, pg = _chi_certificate(E, probs, d, n)
             since_check = 0
             if pg <= 0.5 * PG_TOL or pg > 0.9 * last_pg:
                 return snapped, pg  # certified, or stalled
             last_pg = pg
-    return _chi_certificate(E, probs, targets, d, n)
+    return _chi_certificate(E, probs, d, n)
 
 
-def _chi_certificate(E: Sequence[np.ndarray], probs: np.ndarray,
-                     targets: Sequence[np.ndarray], d: int, n: int):
+def _chi_certificate(E: Sequence[np.ndarray], probs: np.ndarray, d: int, n: int):
     """The snapped extensions and the projected-gradient mapping norm of chi there."""
     snapped = [_snap_small(e) for e in E]
-    return snapped, _pg_mapping_norm(snapped, chi_gradient(snapped, probs), targets, d, n)
+    return snapped, _pg_mapping_norm(snapped, chi_gradient(snapped, probs), d, n)
 
 
 def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
     """The unique feasible extension of a pure target, or None if mixed.
 
     A pure single-site marginal admits no correlations, so the feasible set
-    collapses to the n-fold product of the target's top eigenvector; either
+    collapses to the n-fold product of the target's top eigenvector; the
     projection would creep toward that lone extreme point, so it is returned
     directly.
     """
@@ -360,58 +326,24 @@ def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
     return None if psi is None else _k.copies(np.ones(1), psi[:, None], n)
 
 
-def _dykstra(x: np.ndarray, target: np.ndarray, d: int, n: int,
-             face: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dykstra alternating projections onto (PSD cone) & (marginal affine set).
-
-    With ``face`` (a support projector) the cone is replaced by the PSD
-    matrices supported inside the face; the projection onto that set is the
-    eigenvalue clip of the face-compressed matrix.  A face read off a snapped
-    point can hold no PSD matrix with the target marginals at all; the
-    iterates then converge to the gap between the two sets, and the loop ends
-    on the plateau rule (see the module docstring) instead of running on to
-    DYKSTRA_ITERS.  Any end above FEAS_TOL raises NumericalFailure.
-    """
-    point = _pure_target_point(target, n)
-    if point is not None:
-        return point
-    target_trace = np.trace(target)
-    y = _k.hermitize(x)
-    p = np.zeros_like(y)
-    q = np.zeros_like(y)
-    resids = []
-    for it in range(DYKSTRA_ITERS):
-        yp = y + p
-        a = _project_affine(yp, target, target_trace, d, n)
-        p = yp - a
-        aq = a + q
-        y = _project_psd(aq if face is None else face @ aq @ face)
-        q = aq - y
-        resid = _k.marginal_residual([y], [target], d, n)
-        if resid <= DYKSTRA_TOL:
-            return y
-        resids.append(resid)
-        if (it >= PLATEAU_WINDOW
-                and resid >= (1.0 - PLATEAU_RTOL) * resids[it - PLATEAU_WINDOW]):
-            break
-    if resid > FEAS_TOL:
-        raise NumericalFailure(
-            f"Dykstra projection stalled at marginal residual {resid:.3e} "
-            f"after {it + 1} iterations"
-        )
-    return y
-
-
-def _clip_point(x: np.ndarray, mults: np.ndarray, target: np.ndarray, d: int, n: int):
+def _clip_point(x: np.ndarray, mults: np.ndarray, target: np.ndarray, d: int, n: int,
+                basis: Optional[np.ndarray] = None):
     """The dual's primal point P+(x + sum_k mults[k] at site k), and its spectrum.
 
+    With ``basis`` (orthonormal columns B) the clip is onto the PSD matrices
+    on B's span: B P+(B^dag z B) B^dag, with the eigenvectors lifted by B.
     Returns ``(X, w, v, g, f)``: X, the eigenpairs (w, v) of the shifted
-    matrix, the dual gradient g[k] = target - marginal_k(X), and the dual
-    objective to minimise, f = |X|^2 / 2 - sum_k <mults[k], target>.
+    matrix, the dual gradient g[k] = target_k - marginal_k(X), and the dual
+    objective to minimise, f = |X|^2 / 2 - sum_k <mults[k], target_k>, where
+    target_k is ``target`` itself or, for an (n, d, d) stack, ``target[k]``.
     """
     z = x.astype(complex)
     _k.subtract_at_sites(z, -mults, d, n)
-    w, v = np.linalg.eigh(z)
+    if basis is None:
+        w, v = np.linalg.eigh(z)
+    else:
+        w, v = np.linalg.eigh(basis.conj().T @ z @ basis)
+        v = basis @ v
     clipped = np.maximum(w, 0.0)
     X = (v * clipped) @ v.conj().T
     g = target - _k.site_marginals(X, d, n)
@@ -438,32 +370,38 @@ def _clip_hessian(w: np.ndarray, v: np.ndarray, d: int, n: int) -> np.ndarray:
     return units.conj() @ (units * omega.ravel()).T
 
 
-def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Euclidean projection of Hermitian x onto {X psd, every site marginal = target}.
+def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int,
+                    basis: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euclidean projection of Hermitian x onto {X psd, site marginal k = target_k}.
+
+    ``target`` is one (d, d) marginal for every site, or an (n, d, d) stack
+    with one per site.  With ``basis`` (orthonormal columns) the PSD cone is
+    cut down to the PSD matrices on the basis's span, a face of the cone.
 
     Semismooth Newton on the projection's concave dual in the n site
     multipliers Y_k (Malick, SIAM J. Matrix Anal. Appl. 26, 272 (2004); Qi
     and Sun, ibid. 28, 360 (2006)): X(Y) = P+(x + sum_k Y_k at site k) and
-    the gradient is target - marginal_k(X(Y)).  Each step solves the
+    the gradient is target_k - marginal_k(X(Y)).  Each step solves the
     generalized Hessian (_clip_hessian) plus a ridge min(1e-2, |g|), which
-    fixes the n - 1 trace shifts that cancel across sites and vanishes as
-    the gradient does.  A step is taken by Armijo backtracking on the dual
-    objective; the full step also passes when it at least halves the
-    marginal residual, since near the solution the dual's change falls below
-    rounding well before the residual reaches DYKSTRA_TOL.  The loop returns
-    at DYKSTRA_TOL and ends once no step size passes (its sufficient decrease
-    rounds away), or after DYKSTRA_ITERS steps; an end above FEAS_TOL raises
-    NumericalFailure.
+    fixes the directions the Hessian leaves flat (the n - 1 trace shifts
+    that cancel across sites, and on a face the multipliers that vanish on
+    it) and vanishes as the gradient does.  A step is taken by Armijo
+    backtracking on the dual objective; the full step also passes when it at
+    least halves the marginal residual, since near the solution the dual's
+    change falls below rounding well before the residual reaches
+    PROJECTION_TOL.  The loop returns at PROJECTION_TOL and ends once no
+    step size passes (its sufficient decrease rounds away), or after
+    PROJECTION_STEPS steps; an end above FEAS_TOL raises NumericalFailure.
     """
-    point = _pure_target_point(target, n)
+    point = _pure_target_point(target, n) if target.ndim == 2 else None
     if point is not None:
         return point
     x = _k.hermitize(x)
     mults = np.zeros((n, d, d), dtype=complex)
-    X, w, v, g, f = _clip_point(x, mults, target, d, n)
+    X, w, v, g, f = _clip_point(x, mults, target, d, n, basis)
     resid = _k.marginal_residual([X], [target], d, n)
-    for it in range(DYKSTRA_ITERS):
-        if resid <= DYKSTRA_TOL:
+    for it in range(PROJECTION_STEPS):
+        if resid <= PROJECTION_TOL:
             return X
         # solved through eigh, which every solver loop already uses: a first
         # np.linalg.solve call alone adds about 0.4 MB of resident LAPACK code
@@ -474,7 +412,7 @@ def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.nda
         slope = float(np.vdot(g, step).real)
         t = 1.0
         while True:
-            trial = _clip_point(x, mults + t * step, target, d, n)
+            trial = _clip_point(x, mults + t * step, target, d, n, basis)
             trial_resid = _k.marginal_residual([trial[0]], [target], d, n)
             passed = (trial[-1] <= f - ARMIJO_C * t * slope
                       or (t == 1.0 and trial_resid <= 0.5 * resid))
@@ -572,18 +510,15 @@ def _interior_start(target: np.ndarray, n: int) -> np.ndarray:
     return 0.8 * _classical_copy(target, n) + 0.2 * _k.kron_power(target, n)
 
 
-def _support_projector(x: np.ndarray) -> Optional[np.ndarray]:
-    """Projector onto the support of a (snapped) PSD matrix; None if full rank."""
+def _support_basis(x: np.ndarray) -> Optional[np.ndarray]:
+    """Orthonormal basis of the support of a (snapped) PSD matrix; None if full rank."""
     w, v = np.linalg.eigh(_k.hermitize(x))
     keep = w > 0.5 * SNAP_TOL
-    if bool(keep.all()):
-        return None
-    vk = v[:, keep]
-    return vk @ vk.conj().T
+    return None if bool(keep.all()) else v[:, keep]
 
 
 def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
-                     targets: Sequence[np.ndarray], d: int, n: int) -> float:
+                     d: int, n: int) -> float:
     """Norm of the projected-gradient mapping at a feasible point.
 
     The mapping norm ||x - P(x - delta*g)|| / delta certifies stationarity
@@ -598,14 +533,21 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     kernel directions), while inside the face the spectrum is bounded away
     from zero, so the mapping norm is as meaningful as at interior points.
     Face optimality versus leaving the face is judged separately.
+
+    Each probe projects onto the set through x itself: the PSD matrices on
+    its support face (the whole cone at full rank) whose site marginals are
+    x's own.  That set holds x, so a zero gradient reads zero, and the
+    projection converges even where x misses the targets by a rounding-scale
+    gap that its face cannot close.
     """
-    faces = [_support_projector(xi) for xi in x]
+    faces = [_support_basis(xi) for xi in x]
+    own = [_k.site_marginals(xi, d, n) for xi in x]
     best = np.inf
     for delta in PG_PROBE_LADDER:
         try:
             moved = [
-                _snap_small(_dykstra(xi - delta * gi, t, d, n, face=Pi))
-                for xi, gi, t, Pi in zip(x, g, targets, faces)
+                _snap_small(_newton_project(xi - delta * gi, t, d, n, basis=b))
+                for xi, gi, t, b in zip(x, g, own, faces)
             ]
         except NumericalFailure:
             break
@@ -632,7 +574,7 @@ def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray], d: int, n:
     pg_norm = np.inf
     for iters in range(1, DESCENT_STEPS + 1):
         g = _fidelity_mono_gradient(*x, convention)
-        pg_norm = _pg_mapping_norm(x, g, targets, d, n)
+        pg_norm = _pg_mapping_norm(x, g, d, n)
         if pg_norm <= PG_TOL:
             return x, fx, iters, True
         gnorm = float(np.sqrt(sum(np.linalg.norm(gi) ** 2 for gi in g)))
@@ -713,15 +655,18 @@ def _chi_face_check(x: Sequence[np.ndarray], fx: float, probs: np.ndarray,
     if all(float(np.linalg.eigvalsh(_k.hermitize(xi))[0]) >= SNAP_TOL for xi in x):
         return x, fx, True
     eye = np.eye(x[0].shape[0])
-    ps = _support_projector(sum(p * m for p, m in zip(probs, x)))
-    ps = eye if ps is None else ps
+
+    def support(m):
+        b = _support_basis(m)
+        return eye if b is None else b @ b.conj().T
+
+    ps = support(sum(p * m for p, m in zip(probs, x)))
     for xi, t in zip(x, targets):
         if _k.is_pure(t):
             continue
-        pi = _support_projector(xi)
         # a rank mismatch puts this at 1 or more; kernels still locking into
         # place near a certified point differ by angles at the certificate scale
-        if float(np.linalg.norm((eye if pi is None else pi) - ps)) > 1e-4:
+        if float(np.linalg.norm(support(xi) - ps)) > 1e-4:
             return x, fx, False
     # a genuinely wrong face shows an O(blend) decrease; anything at the
     # certificate's own gap scale is noise

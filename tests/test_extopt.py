@@ -1,5 +1,7 @@
 """Extension optimization: feasible projections, chi_q, fidelity_q."""
 
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -18,9 +20,9 @@ from ensembleq.errors import (
 )
 from ensembleq.extopt import (
     DESCENT_STEPS,
-    DYKSTRA_ITERS,
-    DYKSTRA_TOL,
     FEAS_TOL,
+    PROJECTION_STEPS,
+    PROJECTION_TOL,
     STALL_TOL,
     STEP_INIT,
     STEP_SHRINK,
@@ -31,10 +33,7 @@ from ensembleq.extopt import (
     chi_q,
     chi_q_infinite_pure,
     fidelity_q,
-    _dykstra,
     _newton_project,
-    _project_affine,
-    _project_psd,
     _pure_target_point,
     _scaling_iproject,
     project_feasible,
@@ -71,10 +70,10 @@ def hard_pair() -> Ensemble:
     return Ensemble([(0.5, a), (0.5, b)])
 
 
-def seed_pair() -> Ensemble:
-    """The uniform qubit pair drawn with seeds 11 and 12."""
+def seed_pair(d: int = 2) -> Ensemble:
+    """The uniform pair of d-level states drawn with seeds 11 and 12."""
     return Ensemble(
-        [(0.5, DensityMatrix(random_density_matrix(2, seed=s))) for s in (11, 12)]
+        [(0.5, DensityMatrix(random_density_matrix(d, seed=s))) for s in (11, 12)]
     )
 
 
@@ -109,7 +108,7 @@ def test_optimizer_config_defaults():
     assert STEP_SHRINK == 0.5
     assert STALL_TOL == 1e-9
     assert DESCENT_STEPS == 2000
-    assert DYKSTRA_ITERS == 500
+    assert PROJECTION_STEPS == 500
     assert cfg.restarts == 32
     assert cfg.seed == 42
 
@@ -231,20 +230,6 @@ def test_project_feasible_pins_marginals():
         assert np.linalg.norm(marg - target.mat) <= 1e-7
 
 
-@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
-def test_project_affine_returns_exact_marginals(d, n):
-    target = random_density_matrix(d, seed=54)
-    x = random_hermitian(d**n, seed=55)
-    y = _project_affine(x, target, np.trace(target), d, n)
-    for site in range(n):
-        assert np.linalg.norm(partial_trace(y, (d,) * n, site) - target) <= 1e-12
-    assert np.linalg.norm(_project_affine(y, target, np.trace(target), d, n) - y) <= 1e-12
-    # an orthogonal projection: x - P(x) is normal to the affine set, which
-    # holds the product extension z
-    z = _kernel.kron_power(target, n)
-    assert abs(np.vdot(x - y, y - z)) <= 1e-12
-
-
 def test_project_feasible_idempotent_on_feasible_input():
     e = commuting_ensemble(seed=53)
     exts = classical_broadcast(e, 2)
@@ -289,7 +274,29 @@ def test_project_feasible_reaches_the_marginals_on_seeded_inputs(d, n):
     for x in starts:
         point = project_feasible(x, DensityMatrix(target), n).mat
         assert np.linalg.eigvalsh(point)[0] >= -1e-12
-        assert marginal_residual([point], [target], d, n) <= DYKSTRA_TOL
+        assert marginal_residual([point], [target], d, n) <= PROJECTION_TOL
+
+
+def _dykstra_reference(x: np.ndarray, target: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Dykstra's alternating projections, PSD cone and marginal set, for 500 iterations.
+
+    No stop rule.  The affine step removes the trace excess evenly and each
+    site's traceless marginal error spread over the other sites.
+    """
+    big = d**n
+    y = _kernel.hermitize(x)
+    p = np.zeros_like(y)
+    q = np.zeros_like(y)
+    for _ in range(500):
+        yp = y + p
+        a = yp - ((np.trace(yp) - np.trace(target)).real / big) * np.eye(big)
+        r = _kernel.site_marginals(yp, d, n) - target
+        r -= (np.trace(r, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+        _kernel.subtract_at_sites(a, r / d ** (n - 1), d, n)
+        p = yp - a
+        y = _kernel.matrix_function(a + q, "psd_clip")
+        q = a + q - y
+    return y
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
@@ -297,9 +304,8 @@ def test_newton_projection_agrees_with_dykstra(d, n):
     target, starts = _seeded_inputs(d, n)
     agreed = 0
     for x in starts:
-        try:
-            ref = _dykstra(x, target, d, n)
-        except NumericalFailure:
+        ref = _dykstra_reference(x, target, d, n)
+        if marginal_residual([ref], [target], d, n) > FEAS_TOL:
             continue  # (3, 2) from h: Dykstra stalls there
         assert np.linalg.norm(_newton_project(x, target, d, n) - ref) <= 1e-7
         agreed += 1
@@ -313,105 +319,85 @@ def test_newton_projection_fails_loudly_on_an_unreachable_target():
         _newton_project(np.eye(9, dtype=complex) / 9, target, 3, 2)
 
 
-def test_only_the_certificate_probes_run_dykstra(monkeypatch):
-    # the line search and chi_q's restoration project by Newton; every probe
-    # of the projected-gradient mapping, face-pinned or not, stays on Dykstra
+def _rank(m: np.ndarray) -> int:
+    return int((np.linalg.eigvalsh(m) > 0.5 * extopt.SNAP_TOL).sum())
+
+
+def test_every_projection_is_the_newton_projection(monkeypatch):
+    # the line search, chi_q's restoration and every probe of the
+    # projected-gradient mapping project by Newton; a probe projects onto the
+    # set through its point: the point's own marginals, on its support face
     calls = []
-    probing = []
+    probed = []
     pg_mapping_norm = extopt._pg_mapping_norm
 
-    def probe(*args):
-        probing.append(True)
+    def probe(x, g, d, n):
+        probed.append([(xi, _kernel.site_marginals(xi, d, n)) for xi in x])
         try:
-            return pg_mapping_norm(*args)
+            return pg_mapping_norm(x, g, d, n)
         finally:
-            probing.pop()
+            probed.pop()
 
-    def dykstra(x, target, d, n, face=None):
-        calls.append(("dykstra", bool(probing), face is not None))
-        return _dykstra(x, target, d, n, face)
-
-    def newton(x, target, d, n):
-        calls.append(("newton", bool(probing), False))
-        return _newton_project(x, target, d, n)
+    def newton(x, target, d, n, basis=None):
+        if not probed:
+            calls.append(("outside", basis is not None))
+            return _newton_project(x, target, d, n, basis)
+        points = [xi for xi, own in probed[-1] if np.array_equal(own, target)]
+        assert points, "a probe projected onto marginals other than its point's"
+        point = points[0]
+        pinned = _rank(point) < len(point)
+        assert (basis is not None) == pinned
+        if pinned:
+            # the basis spans the point's support
+            face = basis @ basis.conj().T
+            assert basis.shape[1] == _rank(point)
+            assert np.linalg.norm(face @ point @ face - point) <= 1e-12
+        calls.append(("probe", pinned))
+        return _newton_project(x, target, d, n, basis)
 
     monkeypatch.setattr(extopt, "_pg_mapping_norm", probe)
-    monkeypatch.setattr(extopt, "_dykstra", dykstra)
     monkeypatch.setattr(extopt, "_newton_project", newton)
 
     e = hard_pair()
     assert fidelity_q(e.states[0], e.states[1], 2).converged
-    kinds = {(kind, inside) for kind, inside, _ in calls}
-    assert kinds == {("newton", False), ("dykstra", True)}
+    assert {kind for kind, _ in calls} == {"outside", "probe"}
+    assert ("outside", True) not in calls
 
     calls.clear()
     chi_q(seed_pair(), 2)
-    assert any(kind == "dykstra" and pinned for kind, _, pinned in calls)
-    assert all(inside for kind, inside, _ in calls if kind == "dykstra")
+    assert ("probe", True) in calls
 
     calls.clear()
     targets = [s.mat for s in seed_pair().states]
     bad = [np.kron(t, np.eye(2) / 2) for t in targets]
     monkeypatch.setattr(extopt, "_entropic_refine", lambda *args: (bad, 0.0))
     chi_q(seed_pair(), 2)
-    assert [kind for kind, inside, _ in calls if not inside] == ["newton", "newton"]
+    assert calls == [("outside", False), ("outside", False)]
 
 
-def _count_affine_projections(monkeypatch) -> list:
-    """Record one entry per _project_affine call, i.e. per Dykstra iteration."""
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return _project_affine(*args)
-
-    monkeypatch.setattr(extopt, "_project_affine", counted)
-    return calls
+# the refine's certified points and their ranks, all below d**n
+CERTIFIED_FACE_CASES = {
+    "seed-11-12/d2n2": (seed_pair, 2, (3, 3)),
+    "seed-11-12/d2n3": (seed_pair, 3, (4, 4)),
+    "seed-11-12/d3n2": (lambda: seed_pair(3), 2, (6, 6)),
+    "hard/d2n2": (hard_pair, 2, (3, 3)),
+}
 
 
-def test_dykstra_fails_fast_when_the_face_cannot_hold_the_target(monkeypatch):
-    # PSD matrices on the |00> face have pure marginals, so they never meet a
-    # mixed target's marginal set: the residual plateaus far above FEAS_TOL
-    target = np.diag([0.7, 0.3]).astype(complex)
-    face = np.zeros((4, 4), dtype=complex)
-    face[0, 0] = 1.0
-    calls = _count_affine_projections(monkeypatch)
-    with pytest.raises(NumericalFailure):
-        _dykstra(_power(target, 2), target, 2, 2, face=face)
-    assert len(calls) <= 30
-
-
-def test_dykstra_plateau_stop_matches_the_full_loop(monkeypatch):
-    # capture the face-pinned certificate probes chi_q makes on the pair
-    probes = []
-
-    def recording(x, target, d, n, face=None):
-        if face is not None:
-            probes.append((x.copy(), target.copy(), face.copy()))
-        return _dykstra(x, target, d, n, face)
-
-    monkeypatch.setattr(extopt, "_dykstra", recording)
-    chi_q(seed_pair(), 2)
-    monkeypatch.undo()
-    assert probes
-    for x, target, face in probes:
-        # the Dykstra recursion run for 500 iterations with no stop rule
-        ref = _kernel.hermitize(x)
-        p = np.zeros_like(ref)
-        q = np.zeros_like(ref)
-        for _ in range(500):
-            a = _project_affine(ref + p, target, np.trace(target), 2, 2)
-            p = ref + p - a
-            ref = _project_psd(face @ (a + q) @ face)
-            q = a + q - ref
-        # the face misses the marginal set by a rounding-scale gap: the full
-        # loop never meets the 1e-9 stop test, and ends feasible all the same
-        assert 1e-9 < marginal_residual([ref], [target], 2, 2) <= FEAS_TOL
-        calls = _count_affine_projections(monkeypatch)
-        y = _dykstra(x, target, 2, 2, face=face)
-        monkeypatch.undo()
-        assert len(calls) < 100
-        assert np.linalg.norm(y - ref) <= 1e-10
+@pytest.mark.parametrize("case", sorted(CERTIFIED_FACE_CASES))
+def test_probe_holds_its_certified_face_pinned_point(case):
+    # a zero gradient must leave the point where it is; projecting onto the
+    # targets' marginal set on the face instead stopped 1e-8 short of it
+    make, n, ranks = CERTIFIED_FACE_CASES[case]
+    e = make()
+    d = e.dim
+    targets = [s.mat for s in e.states]
+    starts = [extopt._snap_small(extopt._interior_start(t, n)) for t in targets]
+    x, pg = extopt._entropic_refine(starts, targets, e.probs, d, n)
+    assert pg <= extopt.PG_TOL
+    assert tuple(_rank(xi) for xi in x) == ranks
+    zero = [np.zeros_like(xi) for xi in x]
+    assert extopt._pg_mapping_norm(x, zero, d, n) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +542,21 @@ def test_solver_loops_gather_marginals_only_through_the_site_table(monkeypatch):
     for r in (chi_q(seed_pair(), 2), chi_q(seed_pair(), 3), chi_q(qutrits, 2),
               fidelity_q(*seed_pair().states, 2)):
         assert r.feasibility_residual <= FEAS_TOL
+
+
+def test_import_builds_no_site_table():
+    # the tables are built on a solver's first call, never at import, where
+    # they would add to every process's start-up
+    code = (
+        "import ensembleq; from ensembleq import _kernel\n"
+        "print(_kernel.site_index.cache_info().currsize, "
+        "_kernel.site_rows.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
