@@ -7,25 +7,27 @@ the solver loops in ``extopt`` call these directly.
 Solver loops touch single-site marginals only through ``site_index(d, n)``, a
 cached table of the flat positions that each single-site marginal of a
 d**n x d**n matrix sums.  ``site_marginals`` gathers marginals through it, bit
-for bit the sums ``partial_trace`` makes; ``add_at_site`` adds one operator at
-one site and ``subtract_at_sites`` subtracts one at every site, each in one
-indexed, in-place call.  ``partial_trace`` and ``site_view`` serve ``densmat``'s
-public functions, ``embed_at_site`` and the table's construction.
+for bit the sums ``partial_trace`` makes; ``subtract_at_sites`` subtracts one
+operator at every site, in one indexed, in-place call.  On an (m, D, D) stack
+both read ``stack_index(d, n, m)``, the same table offset to each matrix.
+``partial_trace`` and ``site_view`` serve ``densmat``'s public functions,
+``embed_at_site`` and the table's construction.
 
 ``site_rows(d, n)``, a second cached table, groups the rows of a d**n x d**n
-matrix by one site's level; ``extopt``'s Newton projection reads each site's
+matrix by one site's level; ``_newton``'s solver reads each site's
 matrix units in an eigenbasis off it.
 
 ``copies`` (every sum of weighted n-fold copies), ``holevo_bits`` and
 ``marginal_residual`` are the one builder of each extension object;
-``marginal_residual`` is also the residual of the Newton projection's stop test.
+``residual_norms`` is the one residual formula, of every report through
+``marginal_residual`` and of the Newton solver's stop test.
 ``holevo_from_entropies``, the Holevo sum behind ``holevo_bits``, takes
 eigenvalues and entropies a caller already has, as ``extopt``'s refine does
 with the spectra each of its rounds computes.
 
-``hermitize``, ``matrix_function`` and ``add_at_site`` act on each matrix of a
-``(..., D, D)`` stack, and ``site_marginals`` on each of an ``(m, D, D)`` stack;
-a stacked call gives each member the same bits as its own call.
+``hermitize``, ``matrix_function`` and ``subtract_at_sites`` act on each matrix
+of a ``(..., D, D)`` stack, and ``site_marginals`` on each of an ``(m, D, D)``
+stack; a stacked call gives each member the same bits as its own call.
 """
 
 from __future__ import annotations
@@ -199,6 +201,18 @@ def site_rows(d: int, n: int) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=None)
+def stack_index(d: int, n: int, m: int) -> np.ndarray:
+    """``site_index(d, n)`` for each matrix of an (m, D, D) stack.
+
+    Shape (m, n, d**(n-1), d, d), cached and read-only: flat positions in the
+    whole stack, so one flat gather serves all members.
+    """
+    idx = site_index(d, n) + (np.arange(m) * d ** (2 * n)).reshape(m, 1, 1, 1, 1)
+    idx.setflags(write=False)
+    return idx
+
+
 def site_marginals(x: np.ndarray, d: int, n: int, site=None) -> np.ndarray:
     """Single-site marginals of one d**n x d**n matrix or of an (m, D, D) stack.
 
@@ -207,50 +221,51 @@ def site_marginals(x: np.ndarray, d: int, n: int, site=None) -> np.ndarray:
     bit: that traces the other sites out one at a time, last site first, and
     the gathered terms are summed over the same sites in the same order.
     """
-    idx = site_index(d, n) if site is None else site_index(d, n)[site]
-    # a flat gather from one matrix is several times cheaper than an indexed
-    # last axis, and every Newton step and trial step gathers once
-    g = x.ravel()[idx] if x.ndim == 2 else x.reshape(len(x), -1)[:, idx]
+    idx = site_index(d, n) if x.ndim == 2 else stack_index(d, n, len(x))
+    # a flat gather is several times cheaper than an indexed last axis, and
+    # every Newton step and trial step gathers once
+    g = x.ravel()[idx if site is None else idx[..., site, :, :, :]]
     g = g.reshape(g.shape[:-3] + (d,) * (n - 1) + (d, d))
     for _ in range(n - 1):
         g = np.add.reduce(g, axis=-3)
     return g
 
 
-def add_at_site(x: np.ndarray, op: np.ndarray, d: int, n: int, site: int) -> None:
-    """In place, x += op embedded at ``site``, on a C-contiguous x of shape (..., D, D)."""
-    if not x.flags.c_contiguous:
-        raise ValueError("add_at_site needs a C-contiguous array")
-    x.reshape(x.shape[:-2] + (-1,))[..., site_index(d, n)[site]] += op[..., None, :, :]
-
-
 def subtract_at_sites(x: np.ndarray, ops: np.ndarray, d: int, n: int) -> None:
     """In place, x -= sum_k I x ... x ops[k] x ... x I, with ops[k] on site k.
 
-    Each entry of x takes its terms in site order, as n successive
+    On an (m, D, D) stack, ops is (m, n, d, d), one set per matrix.  Each
+    entry of x takes its terms in site order, as n successive
     ``site_view(x, dims, k)[...] -= ops[k]`` would.  ``x`` must be
     C-contiguous, as for ``site_view``.
     """
     if not x.flags.c_contiguous:
         raise ValueError("subtract_at_sites needs a C-contiguous array")
-    np.subtract.at(x.reshape(-1), site_index(d, n), ops[:, None])
+    idx = site_index(d, n) if x.ndim == 2 else stack_index(d, n, len(x))
+    np.subtract.at(x.reshape(-1), idx, ops[..., None, :, :])
 
 
 def marginal_residual(mats, targets, d: int, n: int) -> float:
     """Largest Frobenius deviation of any single-site marginal from its target.
 
     Each target is one (d, d) marginal for every site or an (n, d, d) stack
-    with one per site.  The one residual formula of the Newton projection's
-    stop test and of every report: per matrix, one gather of its n marginals
-    and sqrt(max(sum(re**2 + im**2))).
+    with one per site.  The residual of every report, by ``residual_norms``
+    on one gather of each matrix's n marginals.
     """
-    # matrix by matrix: stacking the list first costs a copy of every matrix
-    squares = []
-    for m, t in zip(mats, targets):
-        r = site_marginals(m, d, n) - t
-        squares.append((r.real**2 + r.imag**2).sum(axis=(-2, -1)).max())
+    # matrix by matrix: stacking the list first costs a copy of every matrix;
     # np.max, unlike the builtin, keeps a NaN wherever it sits
-    return float(np.sqrt(np.max(squares)))
+    return float(np.max([residual_norms(site_marginals(m, d, n) - t)
+                         for m, t in zip(mats, targets)]))
+
+
+def residual_norms(r: np.ndarray) -> np.ndarray:
+    """sqrt(max_k sum(re**2 + im**2)) over the site deviations r[..., k, :, :].
+
+    The one residual formula: one value per matrix of a ``(..., n, d, d)``
+    stack of marginal deviations, as ``marginal_residual`` and the Newton
+    solver's stop test read them.
+    """
+    return np.sqrt((r.real**2 + r.imag**2).sum(axis=(-2, -1)).max(axis=-1))
 
 
 def bloch_vector(a: np.ndarray) -> np.ndarray:

@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write to this path atomically instead of stdout")
 
     # the measurement ascent is the one solver with settings: chi_q and
-    # fidelity_q are convex and run from one start at fixed caps
+    # fidelity_q run their local descents from one start at fixed caps
     acc = argparse.ArgumentParser(add_help=False)
     acc.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV_VAR} or {OptimizerConfig.seed})")

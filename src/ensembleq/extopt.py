@@ -1,34 +1,40 @@
 """Minimization of information monotones over constrained broadcast extensions.
 
 The feasible set for each ensemble member is the convex body of n-site states
-whose every single-site marginal equals that member.  Both objectives are
-convex on it.  A family of pure members has one feasible point, its product
-extension; a commuting family is reported at its classical broadcast, which is
-optimal when it saturates the baseline.  Any other family runs its objective's
-local solver once, from a start inside the feasible set:
+whose every single-site marginal equals that member.  chi is jointly convex on
+it, and so is 1 - F in the root convention of fidelity_q; 1 - F^2, the squared
+convention, is not convex in general, so a certified squared point is a
+stationary point, not necessarily the optimum.  A family of pure members has
+one feasible point, its product extension; a commuting family is reported at
+its classical broadcast, which is optimal when it saturates the baseline.  Any
+other family runs its objective's local solver once, from a start inside the
+feasible set:
 
 * chi_q: the entropic refine, an alternating minimization in the matrix-log
-  geometry, then its certificate (the projected-gradient mapping norm, plus a
-  kernel-alignment test and an interior-escape blend on a boundary face).  An
-  uncertified point is reported without further descent.  A point that misses
-  the marginal set is first projected back onto it with the Newton projection;
-  its certificate survives only if that leaves chi in place.
+  geometry whose E-step is an exact relative-entropy projection, sped up by
+  extrapolated rounds, then its certificate (the projected-gradient mapping
+  norm, plus a kernel-alignment test and an interior-escape blend on a
+  boundary face).  The certificate is checked on a schedule as the refine
+  runs; an uncertified point is reported without further descent.  A point
+  that misses the marginal set is first projected back onto it with the
+  Newton projection; its certificate survives only if that leaves chi in
+  place.
 * fidelity_q: projected gradient descent with Armijo backtracking; each trial
   step is projected back onto the feasible set with the Newton projection.
 
-One solver projects onto {X psd, every site marginal = target}: the Newton
-projection, a semismooth Newton method on the projection's dual in the site
-multipliers.  It serves project_feasible, fidelity_q's line search, chi_q's
-feasibility restoration and the probes of the projected-gradient certificate
-of both objectives.  A probe projects onto the set through the probed point:
-the PSD matrices on the point's support face whose site marginals are the
-point's own.  That set holds the point, so the projection's dual is bounded
-and Newton converges.  The true targets would not do on a face: the face is
-read off a snapped point, whose marginals may miss the targets by about
-SNAP_TOL, so the PSD matrices on it need not meet the targets' marginal set.
-
-The entropic refine runs its relative-entropy projections on all free
-members at once, as one stack of matrices, and returns snapped points.
+One solver, ``_newton.solve``, projects onto an extension set: Newton on the
+projection's dual in the n site multipliers, with the spectral map as a
+parameter.  With P+ it is the Newton projection, the Euclidean projection
+onto {X psd, every site marginal = target}: it serves project_feasible,
+fidelity_q's line search, chi_q's feasibility restoration and the probes of
+the projected-gradient certificate of both objectives.  A probe projects onto
+the set through the probed point: the PSD matrices on the point's support
+face whose site marginals are the point's own.  That set holds the point, so
+the projection's dual is bounded and Newton converges.  The true targets
+would not do on a face: the face is read off a snapped point, whose marginals
+may miss the targets by about SNAP_TOL, so the PSD matrices on it need not
+meet the targets' marginal set.  With exp it is the entropic refine's E-step,
+run on all free members at once, as one stack of matrices.
 
 Extension sets, FEAS_TOL, DIM_CAP and the site-count check live in
 ``ensemble`` beside the classical broadcast, and are re-exported here.  The
@@ -43,7 +49,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernel as _k
+from . import _kernel as _k, _newton
+# re-exported beside the solver constants defined here
+from ._newton import ARMIJO_C, PROJECTION_STEPS, PROJECTION_TOL
 from .densmat import (FIDELITY_CONVENTIONS, DensityMatrix, as_matrix, _as_state,
                       _require_finite, _require_int, _require_real, _state_pair)
 from .ensemble import (DIM_CAP, FEAS_TOL, Ensemble, ExtensionSet, _site_count,
@@ -55,8 +63,6 @@ from .errors import (
     malformed,
 )
 
-#: Armijo sufficient-decrease constant.
-ARMIJO_C = 1e-4
 #: Projected-gradient-mapping norm below which a run counts as converged.
 PG_TOL = 1e-6
 #: Probe steps for the gradient-mapping norm, climbed smallest first.  The
@@ -83,15 +89,8 @@ SNAP_TOL = 1e-9
 SAT_TOL = 1e-9
 #: Cap on the rounds of chi_q's entropic refine.
 REFINE_ROUNDS = 1500
-#: Scaling sweeps per refine round: a couple suffice, since the multiplier
-#: warm start keeps each block within a short hop of its optimum.
-SCALING_SWEEPS = 2
 #: Cap on fidelity_q's descent steps.
 DESCENT_STEPS = 2000
-#: Cap on the steps of every Newton projection.
-PROJECTION_STEPS = 500
-#: The Newton projection returns once the marginal residual is at most this.
-PROJECTION_TOL = 1e-9
 
 __all__ = [
     "DIM_CAP",
@@ -204,33 +203,36 @@ def _snap_small(m: np.ndarray) -> np.ndarray:
     return out * (float(np.trace(m).real) / tr)
 
 
-def _scaling_iproject(log_sigma: np.ndarray, log_targets: np.ndarray, d: int, n: int,
-                      mult_init: np.ndarray):
-    """Relative-entropy projections of exp(log_sigma) onto m members' marginal sets.
+def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int,
+                    basis: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euclidean projection of Hermitian x onto {X psd, site marginal k = target_k}.
 
-    Iterative proportional scaling: cycle over sites, multiplying in the
-    exponent by the mismatch between the required and the current marginal.
-    The running exponent is exact by construction, so only the site marginals
-    need fresh eigendecompositions.  All members run as one stack for
-    SCALING_SWEEPS sweeps: ``log_targets`` is (m, d, d), ``mult_init``
-    (m, D, D) warm-starts the accumulated site multipliers (they drift slowly
-    across outer rounds), and the projections and final multiplier sums come
-    back as (m, D, D) stacks, with the (m, D) spectrum of the last exponent:
-    the logarithms of the projections' eigenvalues.  Each member's result is
-    the one it would get alone.
+    ``target`` is one (d, d) marginal for every site, or an (n, d, d) stack
+    with one per site.  With ``basis`` (orthonormal columns) the PSD cone is
+    cut down to the PSD matrices on the basis's span, a face of the cone.
+    The Newton solver with P+ as its spectral map, on a stack of one.
     """
-    # the multipliers and the running exponent log_sigma + multipliers, side
-    # by side in a new array, so that one in-place add moves both
-    state = np.stack([mult_init, log_sigma + mult_init])
-    spectrum = np.linalg.eigh(_k.hermitize(state[1]))
-    E = _k.matrix_function(state[1], "exp", spectrum)
-    for _ in range(SCALING_SWEEPS):
-        for k in range(n):
-            mk = _k.site_marginals(E, d, n, k)
-            _k.add_at_site(state, log_targets - _k.matrix_function(mk, "log"), d, n, k)
-            spectrum = np.linalg.eigh(_k.hermitize(state[1]))
-            E = _k.matrix_function(state[1], "exp", spectrum)
-    return E, state[0], spectrum[0]
+    point = _pure_target_point(target, n) if target.ndim == 2 else None
+    if point is not None:
+        return point
+    stacked = target[None, None] if target.ndim == 2 else target[None]
+    return _newton.solve(x, stacked, d, n, _newton.CLIP, basis=basis)[0][0]
+
+
+def _entropic_project(sigma: np.ndarray, spectrum, targets: np.ndarray, mults: np.ndarray,
+                      d: int, n: int):
+    """Relative-entropy projections of sigma onto m members' marginal sets.
+
+    The Newton solver with exp as its spectral map, from log sigma (read off
+    sigma's eigenpairs ``spectrum``): member i's projection is
+    exp(log sigma + sum_k Y_ik at site k) with every site marginal within
+    PROJECTION_TOL of targets[i].  ``targets`` is (m, d, d) and ``mults``
+    (m, n, d, d) warm-starts the site multipliers Y.  Returns the (m, D, D)
+    projections, their multipliers and the (m, D) logarithms of their
+    eigenvalues.
+    """
+    log_sigma = _k.matrix_function(sigma, "log", spectrum)
+    return _newton.solve(log_sigma, targets[:, None], d, n, _newton.EXP, mults)
 
 
 def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray],
@@ -240,71 +242,91 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     Alternates the two closed-form block minimizations of
     sum_i p_i D(E_i || sigma): the optimal sigma is the weighted average, and
     the optimal E_i for fixed sigma is its relative-entropy projection onto
-    the marginal constraint set.  Both blocks respect the matrix-log geometry,
-    so iterates approach boundary minimizers geometrically instead of the
-    sublinear crawl of Euclidean steps, and every iterate stays feasible up
-    to what SCALING_SWEEPS sweeps leave.
+    the marginal constraint set (Csiszar, Ann. Probab. 3, 146 (1975)), here
+    exact: _entropic_project solves it by Newton on the site multipliers,
+    all free members as one stack, warm-started from the last round's
+    multipliers.  Both blocks respect the matrix-log geometry, so iterates
+    approach boundary minimizers geometrically instead of the sublinear crawl
+    of Euclidean steps, and every iterate meets the marginals within
+    PROJECTION_TOL: its chi is the chi of a feasible point.
 
-    Each round decomposes sigma once: its spectrum gives both S(sigma) for
-    the stop rule and log sigma for the next projection.  The members'
-    entropies come off the spectra of _scaling_iproject's last exponents, and
-    a pure-pinned member's is taken once, so the stop rule's chi (that of
-    chi_objective, up to rounding) costs no further decomposition.
+    That makes two shortcuts sound.  Each round first projects the
+    extrapolated average 2 sigma_k - sigma_(k-1) and keeps that round if the
+    extrapolation is positive definite and chi does not rise; otherwise it
+    runs the plain round from sigma_k and the old multipliers.  And the
+    certificate (the projected-gradient mapping norm at the snapped iterate,
+    see _chi_certificate) is checked at round 25 and then after
+    max(25, rounds / 4) more rounds, whatever chi does: the refine
+    returns once it passes at half PG_TOL, or once it stalls (it contracted
+    by less than a tenth since the last check) with chi held within 1e-10
+    for three rounds, or after REFINE_ROUNDS rounds.
 
-    The stationarity certificate (the projected-gradient mapping norm at the
-    snapped iterate, see _chi_certificate) is consulted once the objective
-    stabilizes.  Near boundary minimizers the objective flattens out many
-    rounds before the iterate settles, so the stop rule watches the
-    certificate, not the objective: refinement continues while the
-    certificate keeps contracting, and stops once it passes or stalls, or
-    after REFINE_ROUNDS rounds.
+    Outside the projections a round decomposes the new sigma once and at
+    most one extrapolation, whose spectrum gives both the positivity test and
+    its log.  The members' entropies come off the spectra of the
+    projections' exponents, and a pure-pinned member's is taken once, so the
+    stop rule's chi (that of chi_objective, up to rounding) costs no further
+    decomposition.
 
     Returns the snapped refined extensions and the certificate norm at
     exactly those points.
     """
     # a pure target admits exactly one feasible extension; its block update
-    # is that point itself, and exponential-form scaling cannot represent it
+    # is that point itself, which no exponential form exp(z) can represent
     pinned_points = [_pure_target_point(t, n) for t in targets]
     E = [
         np.array(m, dtype=complex) if pt is None else pt
         for m, pt in zip(starts, pinned_points)
     ]
     free = [i for i, pt in enumerate(pinned_points) if pt is None]
-    log_targets = _k.matrix_function(np.array([targets[i] for i in free], dtype=complex), "log")
-    mults = np.zeros((len(free), d**n, d**n), dtype=complex)
+    free_targets = np.array([targets[i] for i in free], dtype=complex)
     # S(E_i) in bits of the members the objective weighs; each round
     # overwrites the free members' entries
     bits = [_k.entropy_bits(m) if p > 0.0 else 0.0 for m, p in zip(E, probs)]
-    sigma = sum(p * m for p, m in zip(probs, E))
-    spectrum = np.linalg.eigh(_k.hermitize(sigma))
-    prev = _k.holevo_from_entropies(spectrum[0], probs, bits)
-    stable = 0
-    last_pg = np.inf
-    since_check = 0
-    for _ in range(REFINE_ROUNDS):
-        log_sigma = _k.matrix_function(sigma, "log", spectrum)
-        projected, mults, exponents = _scaling_iproject(log_sigma, log_targets, d, n, mults)
+
+    def update(sigma, spectrum):
+        """The round from sigma, warm-started from the current multipliers:
+        the members, their entropies and multipliers, the new average with
+        its eigenpairs, and chi there."""
+        projected, ys, exponents = _entropic_project(sigma, spectrum, free_targets, mults, d, n)
         # S = -sum e^w w / ln 2 over the eigenvalues e^w above EIG_FLOOR
         lam = np.exp(exponents)
         free_bits = -np.where(lam > _k.EIG_FLOOR, lam * exponents, 0.0).sum(axis=-1) / np.log(2.0)
+        new_E, new_bits = list(E), list(bits)
         for i, Ei, b in zip(free, projected, free_bits.tolist()):
-            E[i], bits[i] = Ei, b
-        sigma = sum(p * m for p, m in zip(probs, E))
-        spectrum = np.linalg.eigh(_k.hermitize(sigma))
-        cur = _k.holevo_from_entropies(spectrum[0], probs, bits)
-        stable = stable + 1 if abs(prev - cur) < 1e-10 else 0
-        prev = cur
-        since_check += 1
-        if stable >= 3:
-            # space the checks out so the measured contraction ratio reflects
-            # a meaningful number of rounds rather than round-to-round noise
-            if since_check < 25 and np.isfinite(last_pg):
-                continue
+            new_E[i], new_bits[i] = Ei, b
+        avg = sum(p * m for p, m in zip(probs, new_E))
+        avg_spectrum = np.linalg.eigh(_k.hermitize(avg))
+        return (new_E, new_bits, ys, avg, avg_spectrum,
+                _k.holevo_from_entropies(avg_spectrum[0], probs, new_bits))
+
+    mults = np.zeros((len(free), n, d, d), dtype=complex)
+    sigma = sum(p * m for p, m in zip(probs, E))
+    spectrum = np.linalg.eigh(_k.hermitize(sigma))
+    chi = _k.holevo_from_entropies(spectrum[0], probs, bits)
+    last_sigma, stable, last_pg, check = None, 0, np.inf, 25
+    for rounds in range(1, REFINE_ROUNDS + 1):
+        step = None
+        try:
+            if last_sigma is not None:
+                ext = 2.0 * sigma - last_sigma
+                ext_spectrum = np.linalg.eigh(_k.hermitize(ext))
+                if ext_spectrum[0][0] > 0.0:
+                    step = update(ext, ext_spectrum)
+            if step is None or step[-1] > chi:
+                step = update(sigma, spectrum)
+        except NumericalFailure:
+            break  # the round fails; the last iterate is feasible
+        last_sigma = sigma
+        E, bits, mults, sigma, spectrum, cur = step
+        stable = stable + 1 if abs(chi - cur) < 1e-10 else 0
+        chi = cur
+        if rounds == check:
             snapped, pg = _chi_certificate(E, probs, d, n)
-            since_check = 0
-            if pg <= 0.5 * PG_TOL or pg > 0.9 * last_pg:
+            if pg <= 0.5 * PG_TOL or (pg > 0.9 * last_pg and stable >= 3):
                 return snapped, pg  # certified, or stalled
             last_pg = pg
+            check = rounds + max(25, rounds // 4)
     return _chi_certificate(E, probs, d, n)
 
 
@@ -324,111 +346,6 @@ def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
     """
     psi = _k.pure_vector(target)
     return None if psi is None else _k.copies(np.ones(1), psi[:, None], n)
-
-
-def _clip_point(x: np.ndarray, mults: np.ndarray, target: np.ndarray, d: int, n: int,
-                basis: Optional[np.ndarray] = None):
-    """The dual's primal point P+(x + sum_k mults[k] at site k), and its spectrum.
-
-    With ``basis`` (orthonormal columns B) the clip is onto the PSD matrices
-    on B's span: B P+(B^dag z B) B^dag, with the eigenvectors lifted by B.
-    Returns ``(X, w, v, g, f)``: X, the eigenpairs (w, v) of the shifted
-    matrix, the dual gradient g[k] = target_k - marginal_k(X), and the dual
-    objective to minimise, f = |X|^2 / 2 - sum_k <mults[k], target_k>, where
-    target_k is ``target`` itself or, for an (n, d, d) stack, ``target[k]``.
-    """
-    z = x.astype(complex)
-    _k.subtract_at_sites(z, -mults, d, n)
-    if basis is None:
-        w, v = np.linalg.eigh(z)
-    else:
-        w, v = np.linalg.eigh(basis.conj().T @ z @ basis)
-        v = basis @ v
-    clipped = np.maximum(w, 0.0)
-    X = (v * clipped) @ v.conj().T
-    g = target - _k.site_marginals(X, d, n)
-    f = 0.5 * float(clipped @ clipped) - float((mults.conj() * target).real.sum())
-    return X, w, v, g, f
-
-
-def _clip_hessian(w: np.ndarray, v: np.ndarray, d: int, n: int) -> np.ndarray:
-    """The dual's generalized Hessian in the site matrix units |a><b|.
-
-    Entry [(k, a, b), (l, c, e)] is <U_kab, Omega o U_lce>, where U_kab is
-    I x |a><b| x I at site k in the eigenbasis v and Omega holds the Lowner
-    divided differences of max(w, 0): 1 between positive eigenvalues, 0
-    between the rest, and the difference quotient across the sign change.
-    """
-    pos = w > 0.0
-    clipped = np.maximum(w, 0.0)
-    same = pos[:, None] == pos[None, :]
-    omega = np.where(same, pos[:, None] * 1.0,
-                     (clipped[:, None] - clipped[None, :])
-                     / np.where(same, 1.0, w[:, None] - w[None, :]))
-    u = v[_k.site_rows(d, n)]  # (n, d, D/d, D)
-    units = (u.conj().swapaxes(-1, -2)[:, :, None] @ u[:, None]).reshape(n * d * d, -1)
-    return units.conj() @ (units * omega.ravel()).T
-
-
-def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int,
-                    basis: Optional[np.ndarray] = None) -> np.ndarray:
-    """Euclidean projection of Hermitian x onto {X psd, site marginal k = target_k}.
-
-    ``target`` is one (d, d) marginal for every site, or an (n, d, d) stack
-    with one per site.  With ``basis`` (orthonormal columns) the PSD cone is
-    cut down to the PSD matrices on the basis's span, a face of the cone.
-
-    Semismooth Newton on the projection's concave dual in the n site
-    multipliers Y_k (Malick, SIAM J. Matrix Anal. Appl. 26, 272 (2004); Qi
-    and Sun, ibid. 28, 360 (2006)): X(Y) = P+(x + sum_k Y_k at site k) and
-    the gradient is target_k - marginal_k(X(Y)).  Each step solves the
-    generalized Hessian (_clip_hessian) plus a ridge min(1e-2, |g|), which
-    fixes the directions the Hessian leaves flat (the n - 1 trace shifts
-    that cancel across sites, and on a face the multipliers that vanish on
-    it) and vanishes as the gradient does.  A step is taken by Armijo
-    backtracking on the dual objective; the full step also passes when it at
-    least halves the marginal residual, since near the solution the dual's
-    change falls below rounding well before the residual reaches
-    PROJECTION_TOL.  The loop returns at PROJECTION_TOL and ends once no
-    step size passes (its sufficient decrease rounds away), or after
-    PROJECTION_STEPS steps; an end above FEAS_TOL raises NumericalFailure.
-    """
-    point = _pure_target_point(target, n) if target.ndim == 2 else None
-    if point is not None:
-        return point
-    x = _k.hermitize(x)
-    mults = np.zeros((n, d, d), dtype=complex)
-    X, w, v, g, f = _clip_point(x, mults, target, d, n, basis)
-    resid = _k.marginal_residual([X], [target], d, n)
-    for it in range(PROJECTION_STEPS):
-        if resid <= PROJECTION_TOL:
-            return X
-        # solved through eigh, which every solver loop already uses: a first
-        # np.linalg.solve call alone adds about 0.4 MB of resident LAPACK code
-        lam, q = np.linalg.eigh(_clip_hessian(w, v, d, n))
-        lam = np.maximum(lam, 0.0) + min(1e-2, float(np.linalg.norm(g)))
-        step = q @ ((q.conj().T @ g.ravel()) / lam)
-        step = _k.hermitize(step.reshape(n, d, d))
-        slope = float(np.vdot(g, step).real)
-        t = 1.0
-        while True:
-            trial = _clip_point(x, mults + t * step, target, d, n, basis)
-            trial_resid = _k.marginal_residual([trial[0]], [target], d, n)
-            passed = (trial[-1] <= f - ARMIJO_C * t * slope
-                      or (t == 1.0 and trial_resid <= 0.5 * resid))
-            if passed or f - ARMIJO_C * 0.5 * t * slope >= f:
-                break
-            t *= 0.5
-        if not passed:
-            break  # the next step's sufficient decrease would round away
-        mults = mults + t * step
-        (X, w, v, g, f), resid = trial, trial_resid
-    if resid > FEAS_TOL:
-        raise NumericalFailure(
-            f"Newton projection stalled at marginal residual {resid:.3e} "
-            f"after {it + 1} steps"
-        )
-    return X
 
 
 def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
@@ -631,8 +548,8 @@ def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
     if conv:
         x, fx, conv = _chi_face_check(x, fx, probs, targets, n)
     if _k.marginal_residual(x, targets, d, n) > FEAS_TOL:
-        # the refine's last scaling round can end a little off the marginal
-        # set, and a refine that cycles can end far from it
+        # refine iterates meet the marginals within PROJECTION_TOL and a snap
+        # moves them by a few SNAP_TOL, so only a faulty refine lands here
         try:
             y = [_snap_small(_newton_project(xi, t, d, n)) for xi, t in zip(x, targets)]
         except NumericalFailure:
@@ -687,8 +604,10 @@ def _optimize_extensions(e: Ensemble, n: int, baseline: float, value,
 
     ``baseline`` is the objective on the members themselves, a proven lower
     bound over the feasible set; the report's value is the gap above it.
-    Both objectives are convex, so a certified point is the global optimum,
-    and so is any point within SAT_TOL of the baseline: the only reliable
+    chi, and 1 - F in the root convention, are convex, so a certified point
+    of theirs is the global optimum; in the squared convention 1 - F^2 is
+    not convex in general, and a certified point is a stationary point.  Any
+    point within SAT_TOL of the baseline is optimal: the only reliable
     test at singular points, where floored logarithms make the
     projected-gradient probe meaningless.  Pure members pin the feasible set
     to their product extensions; a commuting family is reported at its

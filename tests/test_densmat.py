@@ -362,23 +362,27 @@ def test_site_table_gathers_marginals_and_embeds(d, n):
         assert np.array_equal(embedded, _kernel.embed_at_site(ops[site], dims, site))
         _kernel.site_view(stepwise, dims, site)[...] -= ops[site]
     assert np.array_equal(y, stepwise)
-    # a stack of three gathers one site per call and takes one operator per
-    # member, each member with the bits of its own 2-D partial trace and view
+    # a stack of three gathers one site or all sites per call and takes one
+    # set of site operators per member, each member with the bits of its own
+    # 2-D partial trace and views
     stack = rng.normal(size=(3, big, big)) + 1j * rng.normal(size=(3, big, big))
-    stack_ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    stack_ops = rng.normal(size=(3, n, d, d)) + 1j * rng.normal(size=(3, n, d, d))
+    subtracted = stack.copy()
+    _kernel.subtract_at_sites(subtracted, stack_ops, d, n)
+    gathered_all = _kernel.site_marginals(stack, d, n)
+    for i, member in enumerate(stack):
+        viewed = member.copy()
+        for site in range(n):
+            _kernel.site_view(viewed, dims, site)[...] -= stack_ops[i, site]
+        assert np.array_equal(subtracted[i], viewed)
     for site in range(n):
         gathered = _kernel.site_marginals(stack, d, n, site)
-        added = stack.copy()
-        _kernel.add_at_site(added, stack_ops, d, n, site)
         for i, member in enumerate(stack):
             assert np.array_equal(gathered[i], _kernel.partial_trace(member, dims, (site,)))
-            viewed = member.copy()
-            _kernel.site_view(viewed, dims, site)[...] += stack_ops[i]
-            assert np.array_equal(added[i], viewed)
-    for write in (lambda a: _kernel.subtract_at_sites(a, ops, d, n),
-                  lambda a: _kernel.add_at_site(a, ops[0], d, n, 0)):
+            assert np.array_equal(gathered_all[i, site], gathered[i])
+    for a in (x, stack):
         with pytest.raises(ValueError):
-            write(np.asfortranarray(x))
+            _kernel.subtract_at_sites(np.asfortranarray(a), ops, d, n)
 
 
 def test_kernel_stacks_match_single_matrices():
