@@ -9,13 +9,14 @@ cached table of the flat positions that each single-site marginal of a
 d**n x d**n matrix sums.  ``site_marginals`` gathers marginals through it, bit
 for bit the sums ``partial_trace`` makes; ``subtract_at_sites`` subtracts one
 operator at every site, in one indexed, in-place call.  On an (m, D, D) stack
-both read ``stack_index(d, n, m)``, the same table offset to each matrix.
-``partial_trace`` and ``site_view`` serve ``densmat``'s public functions,
-``embed_at_site`` and the table's construction.
+both read ``stack_index(d, n, m)``, the same table offset to each matrix; on
+b D x b D matrices the sites are the (block, site) pairs of b diagonal
+blocks.  ``partial_trace`` and ``site_view`` serve ``densmat`` and
+``embed_at_site``.
 
-``site_rows(d, n)``, a second cached table, groups the rows of a d**n x d**n
-matrix by one site's level; ``_newton``'s solver reads each site's
-matrix units in an eigenbasis off it.
+``site_rows(d, n)``, the table both are built from, groups the rows of a
+d**n x d**n matrix by one site's level; ``_newton``'s solver reads each
+site's matrix units in an eigenbasis off it.
 
 ``copies`` (every sum of weighted n-fold copies), ``holevo_bits`` and
 ``marginal_residual`` are the one builder of each extension object;
@@ -179,36 +180,38 @@ def site_index(d: int, n: int) -> np.ndarray:
     sits before (a, b): numpy adds a contiguous last axis pairwise, but a
     leading one in index order, the order ``partial_trace`` adds in.
     """
-    dims = (d,) * n
-    pos = np.arange(d ** (2 * n)).reshape(d**n, d**n)
-    idx = np.stack([site_view(pos, dims, k).reshape(-1, d, d) for k in range(n)])
-    idx.setflags(write=False)
-    return idx
+    return stack_index(d, n, 1)[0]
 
 
 @functools.lru_cache(maxsize=None)
-def site_rows(d: int, n: int) -> np.ndarray:
+def site_rows(d: int, n: int, blocks: int = 1) -> np.ndarray:
     """Row indices of a d**n x d**n matrix grouped by one site's level.
 
     Shape (n, d, d**(n-1)), cached and read-only: entry [k, a, j] is the row
     whose site-k level is a and whose other n-1 levels, in site order, are j.
     For a unitary v, ``v[rows[k, a]].conj().T @ v[rows[k, b]]`` is
-    I x |a><b| x I, with |a><b| at site k, in the basis of v's columns.
+    I x |a><b| x I, with |a><b| at site k, in the basis of v's columns.  With
+    ``blocks`` b, entry [j n + k] is site k of block j of b D x b D matrices.
     """
     levels = np.arange(d**n).reshape((d,) * n)
-    rows = np.stack([np.moveaxis(levels, k, 0).reshape(d, -1) for k in range(n)])
+    rows = np.stack([np.moveaxis(levels, k, 0).reshape(d, -1) + j * d**n
+                     for j in range(blocks) for k in range(n)])
     rows.setflags(write=False)
     return rows
 
 
 @functools.lru_cache(maxsize=None)
-def stack_index(d: int, n: int, m: int) -> np.ndarray:
-    """``site_index(d, n)`` for each matrix of an (m, D, D) stack.
+def stack_index(d: int, n: int, m: int, blocks: int = 1) -> np.ndarray:
+    """``site_index(d, n)`` for each diagonal block of an (m, b D, b D) stack.
 
-    Shape (m, n, d**(n-1), d, d), cached and read-only: flat positions in the
-    whole stack, so one flat gather serves all members.
+    Shape (m, b n, d**(n-1), d, d), cached and read-only: flat positions in
+    the whole stack, so one flat gather serves all members, with the sites of
+    ``site_rows(d, n, b)``.
     """
-    idx = site_index(d, n) + (np.arange(m) * d ** (2 * n)).reshape(m, 1, 1, 1, 1)
+    rows, big = site_rows(d, n, blocks).swapaxes(-1, -2), blocks * d**n
+    offsets = (np.arange(m) * big**2).reshape(m, 1, 1, 1, 1)
+    # C order: a gather takes its layout from the table, and its sums their order
+    idx = np.ascontiguousarray(rows[..., :, None] * big + rows[..., None, :] + offsets)
     idx.setflags(write=False)
     return idx
 
@@ -219,9 +222,10 @@ def site_marginals(x: np.ndarray, d: int, n: int, site=None) -> np.ndarray:
     All n of them, shape ([m,] n, d, d), or with ``site`` that one, shape
     ([m,] d, d).  Each equals ``partial_trace(x, (d,) * n, (k,))`` bit for
     bit: that traces the other sites out one at a time, last site first, and
-    the gathered terms are summed over the same sites in the same order.
+    the gathered terms are summed over the same sites in the same order.  On
+    a stack of b D x b D matrices, its b n sites in ``stack_index`` order.
     """
-    idx = site_index(d, n) if x.ndim == 2 else stack_index(d, n, len(x))
+    idx = site_index(d, n) if x.ndim == 2 else stack_index(d, n, len(x), x.shape[-1] // d**n)
     # a flat gather is several times cheaper than an indexed last axis, and
     # every Newton step and trial step gathers once
     g = x.ravel()[idx if site is None else idx[..., site, :, :, :]]
@@ -234,14 +238,14 @@ def site_marginals(x: np.ndarray, d: int, n: int, site=None) -> np.ndarray:
 def subtract_at_sites(x: np.ndarray, ops: np.ndarray, d: int, n: int) -> None:
     """In place, x -= sum_k I x ... x ops[k] x ... x I, with ops[k] on site k.
 
-    On an (m, D, D) stack, ops is (m, n, d, d), one set per matrix.  Each
-    entry of x takes its terms in site order, as n successive
-    ``site_view(x, dims, k)[...] -= ops[k]`` would.  ``x`` must be
-    C-contiguous, as for ``site_view``.
+    On an (m, D, D) stack, ops is (m, n, d, d), one set per matrix, or
+    (m, b n, d, d) on a stack of b D x b D matrices.  Each entry of x takes
+    its terms in site order, as n successive ``site_view(x, dims, k)[...] -=
+    ops[k]`` would.  ``x`` must be C-contiguous, as for ``site_view``.
     """
     if not x.flags.c_contiguous:
         raise ValueError("subtract_at_sites needs a C-contiguous array")
-    idx = site_index(d, n) if x.ndim == 2 else stack_index(d, n, len(x))
+    idx = site_index(d, n) if x.ndim == 2 else stack_index(d, n, len(x), x.shape[-1] // d**n)
     np.subtract.at(x.reshape(-1), idx, ops[..., None, :, :])
 
 

@@ -5,8 +5,9 @@ d**n x d**n matrices.  ``solve`` projects onto it in the Bregman geometry of a
 spectral map phi, by Newton steps on the projection's dual in the n site
 multipliers: P+ (``CLIP``) gives the Euclidean projection onto the PSD
 matrices of the set, exp (``EXP``) the relative-entropy projection onto its
-positive definite matrices.  ``extopt`` calls it through ``_newton_project``
-and ``_entropic_project``.
+positive definite matrices.  On a matrix of b diagonal blocks the sites are
+the (block, site) pairs.  ``extopt`` calls it through ``_newton_project``,
+``_entropic_project`` and ``_prox_linear``.
 """
 
 from __future__ import annotations
@@ -101,13 +102,14 @@ def site_hessian(v: np.ndarray, divided: np.ndarray, d: int, n: int) -> np.ndarr
     spectral map's divided differences: Omega for P+, Gamma for exp.
     """
     m, big = v.shape[0], v.shape[-1]
-    u = v[:, _k.site_rows(d, n)]  # (m, n, d, D/d, D)
-    units = (u.conj().swapaxes(-1, -2)[:, :, :, None] @ u[:, :, None]).reshape(m, n * d * d, -1)
+    u = v[:, _k.site_rows(d, n, v.shape[-2] // d**n)]  # (m, b n, d, D/d, D)
+    units = (u.conj().swapaxes(-1, -2)[:, :, :, None] @ u[:, :, None]).reshape(m, -1, big * big)
     return units.conj() @ (units * divided.reshape(m, 1, big * big)).swapaxes(-1, -2)
 
 
 def solve(x: np.ndarray, target: np.ndarray, d: int, n: int, spectral: tuple,
-          mults: Optional[np.ndarray] = None, basis: Optional[np.ndarray] = None):
+          mults: Optional[np.ndarray] = None, basis: Optional[np.ndarray] = None,
+          tol: float = PROJECTION_TOL):
     """Newton on the site multipliers: the projection phi(x + sum_k Y_k) of each member.
 
     For each member i, minimises the dual sum Phi(eig z_i) - sum_k <Y_ik,
@@ -118,19 +120,23 @@ def solve(x: np.ndarray, target: np.ndarray, d: int, n: int, spectral: tuple,
 
     Semismooth Newton (Malick, SIAM J. Matrix Anal. Appl. 26, 272 (2004); Qi
     and Sun, ibid. 28, 360 (2006)).  Each step solves the Hessian
-    (site_hessian) plus a ridge min(1e-2, |g|), which fixes the directions
-    the Hessian leaves flat (the n - 1 trace shifts that cancel across sites,
-    on a face the multipliers that vanish on it, for exp those of a
-    near-singular exp(x)) and vanishes with the gradient.  A step passes
+    (site_hessian) plus a ridge |g|^2 clipped to [1e-12, 1e-3], by LU.  The
+    ridge fixes the directions the Hessian leaves flat (trace shifts that
+    cancel across sites, multipliers that vanish on a face or on a set with
+    no interior point); as |g|^2 it keeps Newton fast where the Hessian is
+    singular at the solution (Yamashita and Fukushima, Computing Suppl. 15,
+    239 (2001)), and its floor stays above the rounding of the Hessian's
+    diagonal, where LU would meet a singular system.  A step passes
     Armijo backtracking on the dual, or at full length when it at least
     halves the marginal residual, since near the solution the dual's change
-    falls below rounding well before the residual reaches PROJECTION_TOL.
-    A member stops at PROJECTION_TOL, once no step passes (its sufficient
-    decrease rounds away), or after PROJECTION_STEPS steps; an end above
-    FEAS_TOL raises NumericalFailure.
+    falls below rounding well before the residual reaches ``tol``.  A member
+    stops at ``tol``, once no step passes (its sufficient decrease rounds
+    away), or after PROJECTION_STEPS steps; an end above max(tol, FEAS_TOL)
+    raises NumericalFailure.
 
-    ``x`` is one (D, D) matrix for all members, ``target`` (m, 1, d, d) or
-    (m, n, d, d), and ``mults`` (m, n, d, d) warm-starts the multipliers.
+    ``x`` is one (D, D) matrix for all members, or one (b D, b D) matrix of b
+    diagonal blocks with n sites each, ``target`` (m, 1, d, d) or (m, b n, d,
+    d), and ``mults`` (m, b n, d, d) warm-starts the multipliers.
     The members run as one stack, each with its own steps and step sizes, so
     each gets the bits it would get alone.  Returns the primal points, the
     multipliers and the spectra w of the shifted matrices, stacked over
@@ -138,24 +144,24 @@ def solve(x: np.ndarray, target: np.ndarray, d: int, n: int, spectral: tuple,
     """
     m = len(target)
     x = _k.hermitize(x)
-    mults = np.zeros((m, n, d, d), dtype=complex) if mults is None else mults.copy()
+    sites = x.shape[-1] // d**n * n
+    mults = np.zeros((m, sites, d, d), dtype=complex) if mults is None else mults.copy()
     state = dual_point(x, mults, target, d, n, spectral, basis)
     stuck = [False] * m
     for it in range(PROJECTION_STEPS):
-        live = [i for i in range(m) if state[-1][i] > PROJECTION_TOL and not stuck[i]]
+        live = [i for i in range(m) if state[-1][i] > tol and not stuck[i]]
         if not live:
             break
         # while every member runs, the whole arrays stand in for gathers
         everyone = len(live) == m
         mults, _, w, v, g, f, resid = state if everyone else [a[live] for a in state]
         ts = target if everyone else target[live]
-        # solved through eigh, which every solver loop already uses: a first
-        # np.linalg.solve call alone adds about 0.4 MB of resident LAPACK code
-        lam, q = np.linalg.eigh(site_hessian(v, spectral[2](w), d, n))
+        hess = site_hessian(v, spectral[2](w), d, n)
         flat = g.reshape(len(live), -1)
-        norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
-        lam = np.maximum(lam, 0.0) + np.minimum(norms, 1e-2)[:, None]
-        step = q @ ((q.conj().swapaxes(-1, -2) @ flat[..., None]) / lam[..., None])
+        ridge = np.clip(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag),
+                        1e-12, 1e-3)
+        hess.reshape(len(live), -1)[:, ::flat.shape[-1] + 1] += ridge[:, None]  # on the diagonal
+        step = np.linalg.solve(hess, flat[..., None])
         step = _k.hermitize(step.reshape(g.shape))
         slope = np.vecdot(flat, step.reshape(len(live), -1)).real
         t = [1.0] * len(live)
@@ -181,7 +187,7 @@ def solve(x: np.ndarray, target: np.ndarray, d: int, n: int, spectral: tuple,
                 t[j] *= 0.5
                 step[j] *= 0.5
     worst = float(state[-1].max())
-    if worst > FEAS_TOL:
+    if worst > max(tol, FEAS_TOL):
         raise NumericalFailure(
             f"Newton projection stalled at marginal residual {worst:.3e} "
             f"after {it + 1} steps"

@@ -61,8 +61,8 @@ class OptimizerConfig:
     vectors drawn with ``seed``; each is capped at ``max_iters`` fixed-point
     steps.  The defaults (32 restarts, 2000 steps, seed 42) are what
     ``accessible_information(e)`` and the CLI run; the seed must be
-    nonnegative.  The extension solvers of chi_q and fidelity_q are local
-    descents that run from one start and take no settings.
+    nonnegative.  The extension solvers of chi_q (the entropic refine) and
+    fidelity_q (one SDP) take no settings.
     """
 
     max_iters: int = 2000

@@ -288,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None,
                         help="write to this path atomically instead of stdout")
 
-    # the measurement ascent is the one solver with settings: chi_q and
-    # fidelity_q run their local descents from one start at fixed caps
+    # the measurement ascent is the one solver with settings: chi_q's refine
+    # and fidelity_q's SDP run at fixed caps
     acc = argparse.ArgumentParser(add_help=False)
     acc.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV_VAR} or {OptimizerConfig.seed})")

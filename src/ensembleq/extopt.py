@@ -2,32 +2,31 @@
 
 The feasible set for each ensemble member is the convex body of n-site states
 whose every single-site marginal equals that member.  chi is jointly convex on
-it, and so is 1 - F in the root convention of fidelity_q; 1 - F^2, the squared
-convention, is not convex in general, so a certified squared point is a
-stationary point, not necessarily the optimum.  A family of pure members has
-one feasible point, its product extension; a commuting family is reported at
-its classical broadcast, which is optimal when it saturates the baseline.  Any
-other family runs its objective's local solver once, from a start inside the
-feasible set:
+it, and the largest fidelity of two extensions is a linear SDP, so a certified
+point of either objective is the optimum.  A family of pure members has one
+feasible point, its product extension; a commuting family is reported at its
+classical broadcast, which is optimal when it saturates the baseline.  Any
+other family runs its objective's solver once:
 
-* chi_q: the entropic refine, an alternating minimization in the matrix-log
-  geometry whose E-step is an exact relative-entropy projection, sped up by
-  extrapolated rounds, then its certificate (the projected-gradient mapping
-  norm, plus a kernel-alignment test and an interior-escape blend on a
-  boundary face).  The certificate is checked on a schedule as the refine
-  runs; an uncertified point is reported without further descent.  A point
-  that misses the marginal set is first projected back onto it with the
-  Newton projection; its certificate survives only if that leaves chi in
-  place.
-* fidelity_q: projected gradient descent with Armijo backtracking; each trial
-  step is projected back onto the feasible set with the Newton projection.
+* chi_q: from a start inside the feasible set, the entropic refine, an
+  alternating minimization in the matrix-log geometry whose E-step is an
+  exact relative-entropy projection, sped up by extrapolated rounds, then its
+  certificate (the projected-gradient mapping norm, plus a kernel-alignment
+  test and an interior-escape blend on a boundary face).  The certificate is
+  checked on a schedule as the refine runs; an uncertified point is reported
+  without further descent.  A point that misses the marginal set is first
+  projected back onto it with the Newton projection; its certificate
+  survives only if that leaves chi in place.
+* fidelity_q: the fidelity SDP by the proximal point method _prox_linear,
+  certified when its primal and dual bounds meet within PG_TOL.
 
-One solver, ``_newton.solve``, projects onto an extension set: Newton on the
-projection's dual in the n site multipliers, with the spectral map as a
+One solver, ``_newton.solve``, projects onto an extension set, or onto the
+matrices whose diagonal blocks lie in extension sets: Newton on the
+projection's dual in the site multipliers, with the spectral map as a
 parameter.  With P+ it is the Newton projection, the Euclidean projection
 onto {X psd, every site marginal = target}: it serves project_feasible,
-fidelity_q's line search, chi_q's feasibility restoration and the probes of
-the projected-gradient certificate of both objectives.  A probe projects onto
+chi_q's feasibility restoration and certificate probes, and the steps of
+_prox_linear.  A probe projects onto
 the set through the probed point: the PSD matrices on the point's support
 face whose site marginals are the point's own.  That set holds the point, so
 the projection's dual is bounded and Newton converges.  The true targets
@@ -51,7 +50,7 @@ import numpy as np
 
 from . import _kernel as _k, _newton
 # re-exported beside the solver constants defined here
-from ._newton import ARMIJO_C, PROJECTION_STEPS, PROJECTION_TOL
+from ._newton import PROJECTION_STEPS, PROJECTION_TOL
 from .densmat import (FIDELITY_CONVENTIONS, DensityMatrix, as_matrix, _as_state,
                       _require_finite, _require_int, _require_real, _state_pair)
 from .ensemble import (DIM_CAP, FEAS_TOL, Ensemble, ExtensionSet, _site_count,
@@ -63,24 +62,17 @@ from .errors import (
     malformed,
 )
 
-#: Projected-gradient-mapping norm below which a run counts as converged.
+#: Projected-gradient-mapping norm (chi_q), or gap between the bounds of
+#: fidelity_q's SDP, below which a run counts as converged.
 PG_TOL = 1e-6
 #: Probe steps for the gradient-mapping norm, climbed smallest first.  The
 #: small probe stays near the feasible set even when floored logarithms make
 #: raw gradients huge; the wide probes sharpen the certificate near optima.
 PG_PROBE_LADDER = (1e-2, 1.0, 10.0)
-#: Cap on the Frobenius distance of any line-search proposal from the iterate.
-TRIAL_RADIUS = 2.0
-#: First (and largest) line-search step.
-STEP_INIT = 0.5
-#: Backtracking factor of the line search.
-STEP_SHRINK = 0.5
-#: An iteration that lowers the objective by less than this counts as stalled.
-STALL_TOL = 1e-9
 #: Iterate eigenvalues below this are snapped to exact zero after projection.
 #: Hovering just above the PSD boundary leaves a ~1/lambda entropy curvature
-#: that freezes the line search; on the exact boundary face the singular terms
-#: of the member and average entropies cancel and descent proceeds normally.
+#: that swamps the projected-gradient probe; on the exact boundary face the
+#: singular terms of the member and average entropies cancel.
 SNAP_TOL = 1e-9
 
 # Objective values this close to a proven lower bound certify global optimality
@@ -89,8 +81,10 @@ SNAP_TOL = 1e-9
 SAT_TOL = 1e-9
 #: Cap on the rounds of chi_q's entropic refine.
 REFINE_ROUNDS = 1500
-#: Cap on fidelity_q's descent steps.
-DESCENT_STEPS = 2000
+#: Cap on fidelity_q's proximal-point steps.  Its step s doubles from 4 and
+#: reaches 2e6 at the last; projections stall once s passes about 1e8, and
+#: the hardest admitted input tried, qubits at n = 6, closes its gap at step 17.
+PROX_STEPS = 20
 
 __all__ = [
     "DIM_CAP",
@@ -111,9 +105,8 @@ class QuantumnessReport:
     """Result of one quantumness optimization.
 
     ``iterations`` is 0 for a closed form or a classical broadcast, 1 for a
-    point certified on arrival, otherwise the number of descent steps (chi_q
-    takes none: it reports 1, certified or not).  ``restart_values`` holds one
-    value, the objective at the reported point.
+    chi_q run, and a fidelity_q run's number of proximal-point steps.
+    ``restart_values`` holds one value, the objective at the reported point.
     """
 
     value: float
@@ -217,6 +210,40 @@ def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int,
         return point
     stacked = target[None, None] if target.ndim == 2 else target[None]
     return _newton.solve(x, stacked, d, n, _newton.CLIP, basis=basis)[0][0]
+
+
+def _prox_linear(C: np.ndarray, W0: np.ndarray, targets: Sequence[np.ndarray], d: int, n: int):
+    """Maximise <C, W> over the psd W whose diagonal D x D blocks have every
+    site marginal equal to their ``targets`` (one per block): the proximal
+    point method (Rockafellar, SIAM J. Control Optim. 14, 877 (1976); Malick,
+    Povh, Rendl and Wiegele, SIAM J. Optim. 20, 336 (2009)).
+
+    Each step is W <- P(W + s C), P the Newton projection onto that set, with
+    s doubling from 4 and the multipliers Y warm-started at twice the last.
+    A projection runs to 1e-2 of the last gap; the loop ends once one run to
+    PROJECTION_TOL (the one after a gap within PG_TOL, or the PROX_STEPS-th)
+    closes the gap to PG_TOL.  The bounds are <C, W> and weak duality at
+    y = -Y / s: a feasible W has trace b, the block count, so <C, W> is at
+    most <targets, y> + b max(0, lambda_max(C - A* y)).  Returns ``(W, lower,
+    upper, steps)``.
+    """
+    stacked = np.repeat(np.array(targets), n, axis=0)[None]
+    W, mults, s, gap = W0, np.zeros_like(stacked), 4.0, 1.0  # the objective lies in [0, 1]
+    for steps in range(1, PROX_STEPS + 1):
+        tight = gap <= PG_TOL or steps == PROX_STEPS
+        tol = PROJECTION_TOL if tight else max(PROJECTION_TOL, 1e-2 * gap)
+        W, mults, _ = _newton.solve(W + s * C, stacked, d, n, _newton.CLIP, 2.0 * mults, tol=tol)
+        W, y = W[0], -mults / s
+        lower = float(np.vdot(C, W).real)
+        residual = C[None].astype(complex)
+        _k.subtract_at_sites(residual, y, d, n)  # C - A* y
+        upper = float(np.vdot(y, stacked).real) + len(targets) * max(
+            0.0, float(np.linalg.eigvalsh(residual[0])[-1]))
+        gap = upper - lower
+        if tight and gap <= PG_TOL:
+            break
+        s *= 2.0
+    return W, lower, upper, steps
 
 
 def _entropic_project(sigma: np.ndarray, spectrum, targets: np.ndarray, mults: np.ndarray,
@@ -393,20 +420,6 @@ def _fidelity_mono_objective(a: np.ndarray, b: np.ndarray, convention: str) -> f
     return 1.0 - (root * root if convention == "squared" else root)
 
 
-def _fidelity_mono_gradient(a: np.ndarray, b: np.ndarray,
-                            convention: str) -> list[np.ndarray]:
-    """Gradient of 1 - F(a, b) w.r.t. (a, b)."""
-    grads = []
-    for x, other in ((a, b), (b, a)):
-        sqrt_o = _k.matrix_function(other, "sqrt")
-        core = _k.matrix_function(sqrt_o @ x @ sqrt_o, "inv_sqrt_on_support")
-        grads.append(0.5 * _k.hermitize(sqrt_o @ core @ sqrt_o))
-    if convention == "squared":
-        root = _k.fidelity_root(a, b)
-        grads = [2.0 * root * g for g in grads]
-    return [-g for g in grads]
-
-
 # ---------------------------------------------------------------------------
 # local solvers and the shared driver
 # ---------------------------------------------------------------------------
@@ -477,63 +490,9 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     return best
 
 
-def _descend(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray], d: int, n: int,
-             convention: str):
-    """fidelity_q's local solver: projected gradient descent with Armijo backtracking.
-
-    Returns ``(x, fx, iterations, converged)`` where ``converged`` certifies a
-    projected-gradient-mapping norm at most PG_TOL.
-    """
-    x = list(x0)
-    fx = _fidelity_mono_objective(*x, convention)
-    step = STEP_INIT
-    stall = 0
-    pg_norm = np.inf
-    for iters in range(1, DESCENT_STEPS + 1):
-        g = _fidelity_mono_gradient(*x, convention)
-        pg_norm = _pg_mapping_norm(x, g, d, n)
-        if pg_norm <= PG_TOL:
-            return x, fx, iters, True
-        gnorm = float(np.sqrt(sum(np.linalg.norm(gi) ** 2 for gi in g)))
-        s = min(STEP_INIT, step / STEP_SHRINK, TRIAL_RADIUS / gnorm)
-        start_s = s
-        accepted = False
-        while s >= 1e-13:
-            try:
-                trial = [_snap_small(_newton_project(xi - s * gi, t, d, n))
-                         for xi, gi, t in zip(x, g, targets)]
-            except NumericalFailure:
-                # trial too far from the feasible set to project; back off
-                s *= STEP_SHRINK
-                continue
-            ft = _fidelity_mono_objective(*trial, convention)
-            decrease = sum(
-                float(np.real(np.vdot(gi, ti - xi)))
-                for gi, ti, xi in zip(g, trial, x)
-            )
-            if ft <= fx + ARMIJO_C * decrease:
-                accepted = True
-                break
-            s *= STEP_SHRINK
-        if accepted:
-            delta = fx - ft
-            x, fx, step = trial, ft, s
-        else:
-            delta = 0.0
-            # a fresh sweep from the largest admissible step found no decrease:
-            # the iterate is stuck (up to projection noise), so stop early
-            if start_s >= min(STEP_INIT, TRIAL_RADIUS / gnorm) - 1e-15:
-                break
-            step = STEP_INIT
-        stall = stall + 1 if delta < STALL_TOL else 0
-        if stall >= 10:
-            break
-    return x, fx, iters, pg_norm <= PG_TOL
-
-
-def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
-                        d: int, n: int, probs: np.ndarray):
-    """chi_q's local solver: the entropic refine, then its certificate.
+def _refine_and_certify(targets: Sequence[np.ndarray], d: int, n: int, probs: np.ndarray):
+    """chi_q's local solver: the entropic refine from the snapped interior
+    starts, then its certificate.
 
     The certificate is the projected-gradient mapping norm at the snapped
     refined point, plus _chi_face_check.  No descent step follows.  A point
@@ -542,6 +501,7 @@ def _refine_and_certify(x0: Sequence[np.ndarray], targets: Sequence[np.ndarray],
     SAT_TOL, or by the uncertified start if the projection fails; every
     reported value is attained at a feasible point.
     """
+    x0 = [_snap_small(_interior_start(t, n)) for t in targets]
     x, pg = _entropic_refine(x0, targets, probs, d, n)
     fx = chi_objective(x, probs)
     conv = pg <= PG_TOL
@@ -594,20 +554,44 @@ def _chi_face_check(x: Sequence[np.ndarray], fx: float, probs: np.ndarray,
     return x, fx, True
 
 
+def _fidelity_sdp(targets: Sequence[np.ndarray], d: int, n: int, convention: str):
+    """fidelity_q's solver: the largest fidelity over two extension sets, one SDP.
+
+    Root fidelity is max Re tr X over [[A, X], [X^dag, B]] psd (Watrous, The
+    Theory of Quantum Information, section 3.2): for two mixed members,
+    _prox_linear on both blocks from rho^(x)n (+) sigma^(x)n.  A pure member
+    pins its block to its product point P, and F^2 = <P, B> is linear in the
+    other block B, solved alone.  Returns ``(x, fx, steps, certified)``.
+    """
+    pinned = [_pure_target_point(t, n) for t in targets]
+    free = [t for t, pt in zip(targets, pinned) if pt is None]
+    big, starts = d**n, [_k.kron_power(t, n) for t in free]
+    if len(free) == 2:
+        C = np.kron([[0.0, 0.5], [0.5, 0.0]], np.eye(big))
+        zero = np.zeros_like(starts[0])
+        W0 = np.block([[starts[0], zero], [zero, starts[1]]])
+    else:
+        C, W0 = next(pt for pt in pinned if pt is not None), starts[0]
+    W, lower, upper, steps = _prox_linear(C, W0, free, d, n)
+    blocks = iter([W[:big, :big], W[big:, big:]])
+    x = [next(blocks) if pt is None else pt for pt in pinned]
+    return x, _fidelity_mono_objective(*x, convention), steps, upper - lower <= PG_TOL
+
+
 def _optimize_extensions(e: Ensemble, n: int, baseline: float, value,
                          local) -> QuantumnessReport:
     """Minimize ``value`` over joint n-site extensions of ``e``'s members.
 
     ``value(x)`` is the objective on a list of extensions, and
-    ``local(x0, targets, d, n)`` its local solver: it runs from one snapped
-    feasible start and returns ``(x, fx, iterations, converged)``.
+    ``local(targets, d, n)`` its solver, which returns ``(x, fx, iterations,
+    converged)``.
 
     ``baseline`` is the objective on the members themselves, a proven lower
-    bound over the feasible set; the report's value is the gap above it.
-    chi, and 1 - F in the root convention, are convex, so a certified point
-    of theirs is the global optimum; in the squared convention 1 - F^2 is
-    not convex in general, and a certified point is a stationary point.  Any
-    point within SAT_TOL of the baseline is optimal: the only reliable
+    bound over the feasible set; the report's value is the gap above it.  A
+    certified point is the global optimum: chi is convex, and fidelity_q's
+    certificate is the gap of its SDP (in either convention: 1 - F^2 is
+    monotone in 1 - F).  Any point within SAT_TOL of the baseline is
+    optimal: the only reliable
     test at singular points, where floored logarithms make the
     projected-gradient probe meaningless.  Pure members pin the feasible set
     to their product extensions; a commuting family is reported at its
@@ -624,8 +608,7 @@ def _optimize_extensions(e: Ensemble, n: int, baseline: float, value,
             x = [_snap_small(ext.mat) for ext in classical_broadcast(e, n).extensions]
             fx, iters, conv = value(x), 0, False
         else:
-            x0 = [_snap_small(_interior_start(t, n)) for t in targets]
-            x, fx, iters, conv = local(x0, targets, d, n)
+            x, fx, iters, conv = local(targets, d, n)
         # values more than 1e-7 below the proven floor signal broken numerics
         # and must not be certified (they fail the report's sanity checks)
         if baseline - 1e-7 <= fx <= baseline + SAT_TOL:
@@ -668,7 +651,7 @@ def fidelity_q(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     pair = Ensemble([(0.5, rho), (0.5, sigma)])
     return _optimize_extensions(pair, n, baseline,
                                 lambda xs: _fidelity_mono_objective(*xs, convention),
-                                partial(_descend, convention=convention))
+                                partial(_fidelity_sdp, convention=convention))
 
 
 def chi_q_infinite_pure(e: Ensemble) -> float:

@@ -121,7 +121,7 @@ def test_numpy_bool_flags_render_as_json_and_csv_booleans():
 )
 def test_extension_commands_reject_restart_flags(orthogonal_file, argv):
     # each command takes only the flags of the solvers it runs: chi_q and
-    # fidelity_q run from one start and take no settings
+    # fidelity_q take no settings
     with pytest.raises(SystemExit) as exc:
         run([a.format(file=orthogonal_file) for a in argv])
     assert exc.value.code == 2

@@ -385,6 +385,27 @@ def test_site_table_gathers_marginals_and_embeds(d, n):
             _kernel.subtract_at_sites(np.asfortranarray(a), ops, d, n)
 
 
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2)])
+def test_block_stack_reads_each_diagonal_block_as_its_own_matrix(d, n):
+    # a stack of 2D x 2D matrices has 2n sites, those of its two diagonal
+    # blocks, each with the bits of its block alone; the off-diagonal blocks
+    # are neither read nor written
+    big = d**n
+    rng = rng_from(300 + 10 * d + n)
+    stack = rng.normal(size=(3, 2 * big, 2 * big)) + 1j * rng.normal(size=(3, 2 * big, 2 * big))
+    ops = rng.normal(size=(3, 2 * n, d, d)) + 1j * rng.normal(size=(3, 2 * n, d, d))
+    subtracted = stack.copy()
+    _kernel.subtract_at_sites(subtracted, ops, d, n)
+    gathered = _kernel.site_marginals(stack, d, n)
+    for j, span in enumerate((slice(0, big), slice(big, 2 * big))):
+        block = np.ascontiguousarray(stack[:, span, span])
+        assert np.array_equal(gathered[:, j * n:(j + 1) * n], _kernel.site_marginals(block, d, n))
+        _kernel.subtract_at_sites(block, ops[:, j * n:(j + 1) * n], d, n)
+        assert np.array_equal(subtracted[:, span, span], block)
+    for off in ((slice(0, big), slice(big, None)), (slice(big, None), slice(0, big))):
+        assert np.array_equal(subtracted[(slice(None),) + off], stack[(slice(None),) + off])
+
+
 def test_kernel_stacks_match_single_matrices():
     # each member of a stacked call gets the bits of its own 2-D call
     stack = np.array([random_density_matrix(6, seed=90 + s) for s in range(3)])

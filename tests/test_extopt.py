@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from ensembleq.densmat import DensityMatrix, partial_trace, von_neumann_entropy
+from ensembleq.densmat import DensityMatrix, fidelity, partial_trace, von_neumann_entropy
 from ensembleq.ensemble import Ensemble, classical_broadcast, holevo
-from ensembleq import _kernel, extopt
+from ensembleq import _kernel, _newton, extopt
 from ensembleq._kernel import marginal_residual
 from ensembleq.accinfo import OptimizerConfig
 from ensembleq.errors import (
@@ -19,14 +19,10 @@ from ensembleq.errors import (
     ResourceLimit,
 )
 from ensembleq.extopt import (
-    DESCENT_STEPS,
     FEAS_TOL,
     PROJECTION_STEPS,
     PROJECTION_TOL,
     SAT_TOL,
-    STALL_TOL,
-    STEP_INIT,
-    STEP_SHRINK,
     ExtensionSet,
     QuantumnessReport,
     chi_gradient,
@@ -58,7 +54,8 @@ CHI_Q_ZERO_PLUS_N3 = 0.3069762639090724
 CHI_Q_ZERO_PLUS_INF = 0.39912396330714384
 CHI_Q_HARD_VALUE = 0.011686348683810133
 CHI_Q_HARD_OBJECTIVE = 0.1341222844689688
-FID_Q_HARD_VALUE = 0.055804630762300356
+# the optimum of the fidelity SDP, solved to a gap of 1e-11
+FID_Q_HARD_VALUE = 0.0093547553
 
 
 def zero_plus() -> Ensemble:
@@ -105,10 +102,6 @@ def _power(m: np.ndarray, n: int) -> np.ndarray:
 def test_optimizer_config_defaults():
     cfg = OptimizerConfig()
     assert cfg.max_iters == 2000
-    assert STEP_INIT == 0.5
-    assert STEP_SHRINK == 0.5
-    assert STALL_TOL == 1e-9
-    assert DESCENT_STEPS == 2000
     assert PROJECTION_STEPS == 500
     assert cfg.restarts == 32
     assert cfg.seed == 42
@@ -313,6 +306,22 @@ def test_newton_projection_agrees_with_dykstra(d, n):
     assert agreed >= 1
 
 
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2)])
+def test_newton_projection_of_two_blocks_projects_each_block(d, n):
+    # conjugation by diag(I, -I) keeps the set of psd matrices with given
+    # diagonal-block marginals and a block-diagonal input, so the projection
+    # is block-diagonal too: each block's own projection
+    (t1, (h1, _)), (t2, (h2, _)) = _seeded_inputs(d, n), _seeded_inputs(d, n + 1)
+    h2 = h2[:d**n, :d**n]
+    zero = np.zeros_like(h1)
+    targets = np.array([t1] * n + [t2] * n)[None]
+    point = _newton.solve(np.block([[h1, zero], [zero, h2]]), targets, d, n, _newton.CLIP)[0][0]
+    big = d**n
+    assert np.linalg.norm(point[:big, big:]) <= 1e-8
+    assert np.linalg.norm(point[:big, :big] - _newton_project(h1, t1, d, n)) <= 1e-8
+    assert np.linalg.norm(point[big:, big:] - _newton_project(h2, t2, d, n)) <= 1e-8
+
+
 def test_newton_projection_fails_loudly_on_an_unreachable_target():
     # no PSD matrix has a marginal with a negative eigenvalue
     target = np.diag([0.6, 0.6, -0.2]).astype(complex)
@@ -325,9 +334,9 @@ def _rank(m: np.ndarray) -> int:
 
 
 def test_every_projection_is_the_newton_projection(monkeypatch):
-    # the line search, chi_q's restoration and every probe of the
-    # projected-gradient mapping project by Newton; a probe projects onto the
-    # set through its point: the point's own marginals, on its support face
+    # chi_q's restoration and every probe of the projected-gradient mapping
+    # project by Newton; a probe projects onto the set through its point: the
+    # point's own marginals, on its support face
     calls = []
     probed = []
     pg_mapping_norm = extopt._pg_mapping_norm
@@ -359,10 +368,9 @@ def test_every_projection_is_the_newton_projection(monkeypatch):
     monkeypatch.setattr(extopt, "_pg_mapping_norm", probe)
     monkeypatch.setattr(extopt, "_newton_project", newton)
 
-    e = hard_pair()
-    assert fidelity_q(e.states[0], e.states[1], 2).converged
-    assert {kind for kind, _ in calls} == {"outside", "probe"}
-    assert ("outside", True) not in calls
+    assert chi_q(hard_pair(), 2).converged
+    assert {kind for kind, _ in calls} == {"probe"}
+    assert ("probe", True) in calls
 
     calls.clear()
     chi_q(seed_pair(), 2)
@@ -822,9 +830,9 @@ def test_chi_q_report_json_round_trip():
 
 def test_chi_q_takes_no_descent_step(monkeypatch):
     def no_descent(*args, **kwargs):
-        raise AssertionError("chi_q entered the Euclidean descent")
+        raise AssertionError("chi_q entered fidelity_q's solver")
 
-    monkeypatch.setattr(extopt, "_descend", no_descent)
+    monkeypatch.setattr(extopt, "_fidelity_sdp", no_descent)
     r = chi_q(seed_pair(), 2)
     assert r.converged and r.iterations == 1 and len(r.restart_values) == 1
 
@@ -905,7 +913,7 @@ def test_commuting_family_never_enters_a_local_solver(monkeypatch):
         raise AssertionError("a commuting family entered a local solver")
 
     monkeypatch.setattr(extopt, "_refine_and_certify", no_local_solver)
-    monkeypatch.setattr(extopt, "_descend", no_local_solver)
+    monkeypatch.setattr(extopt, "_fidelity_sdp", no_local_solver)
     e = commuting_ensemble(seed=151)
     for r in (chi_q(e, 2), fidelity_q(e.states[0], e.states[1], 2)):
         assert r.converged and r.iterations == 0
@@ -975,14 +983,22 @@ def _falsifier_pair(s: int) -> Ensemble:
 def _solver_point(e: Ensemble, n: int) -> list:
     """The n-site point chi_q's local solver reaches from its interior start."""
     targets = [s.mat for s in e.states]
-    x0 = [extopt._snap_small(extopt._interior_start(t, n)) for t in targets]
-    x, _, _, _ = extopt._refine_and_certify(x0, targets, 2, n, e.probs)
+    x, _, _, _ = extopt._refine_and_certify(targets, 2, n, e.probs)
     return x
 
 
 def _depolarise(m: np.ndarray, p: float) -> np.ndarray:
     """(1 - p) m + p I / 2 on a qubit."""
     return (1.0 - p) * m + p * np.trace(m) * np.eye(2) / 2
+
+
+def _depolarise_sites(x: np.ndarray, p: float) -> np.ndarray:
+    """The depolarising channel of ``_depolarise`` on both sites of a two-qubit x."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    kraus = [np.sqrt(1.0 - 0.75 * p) * paulis[0]] + [np.sqrt(p / 4) * a for a in paulis[1:]]
+    pairs = [np.kron(a, b) for a in kraus for b in kraus]
+    return sum(k @ x @ k.conj().T for k in pairs)
 
 
 @pytest.mark.parametrize("s", range(8))
@@ -1007,11 +1023,7 @@ def test_chi_q_point_pushed_through_a_channel_is_no_better_than_its_certified_re
                          for q, st in zip(e.probs, e.states)])
     r = chi_q(pushed_e, 2)
     assert r.converged
-    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-              np.diag([1.0, -1.0])]
-    kraus = [np.sqrt(1.0 - 0.75 * p) * paulis[0]] + [np.sqrt(p / 4) * a for a in paulis[1:]]
-    pairs = [np.kron(a, b) for a in kraus for b in kraus]
-    pushed = [sum(k @ x @ k.conj().T for k in pairs) for x in _solver_point(e, 2)]
+    pushed = [_depolarise_sites(x, p) for x in _solver_point(e, 2)]
     assert marginal_residual(pushed, [st.mat for st in pushed_e.states], 2, 2) <= FEAS_TOL
     assert chi_objective(pushed, e.probs) >= r.objective_at_optimum - SAT_TOL
 
@@ -1061,9 +1073,121 @@ def test_fidelity_q_hard_pair_frozen_oracle():
     assert r.feasibility_residual <= FEAS_TOL
 
 
+# 1 - F^2 at the optimum of the fidelity SDP, from an independent solver (the
+# hard pair's optimum is FID_Q_HARD_VALUE)
+FID_Q_SDP_OPTIMA = {
+    "seed-11-12/d2n2": (seed_pair, 2, 0.1778659),
+    "seed-11-12/d2n3": (seed_pair, 3, 0.1804616),
+    "seed-11-12/d2n4": (seed_pair, 4, 0.1816529),
+    "seed-11-12/d3n2": (lambda: seed_pair(3), 2, 0.5511964),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FID_Q_SDP_OPTIMA))
+def test_fidelity_q_reaches_the_sdp_optimum(case):
+    make, n, optimum = FID_Q_SDP_OPTIMA[case]
+    e = make()
+    r = fidelity_q(e.states[0], e.states[1], n)
+    assert r.converged and r.feasibility_residual <= FEAS_TOL
+    assert r.objective_at_optimum == pytest.approx(optimum, abs=1e-6)
+
+
+def _fidelity_point(e: Ensemble, n: int) -> list:
+    """The n-site extension pair fidelity_q's solver reaches."""
+    x, _, _, _ = extopt._fidelity_sdp([s.mat for s in e.states], e.dim, n, "squared")
+    return x
+
+
+def _one_minus_f2(x: list) -> float:
+    return extopt._fidelity_mono_objective(x[0], x[1], "squared")
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_fidelity_q_point_traced_down_a_site_is_no_better_than_the_certified_rung(s):
+    # tracing site 3 out of a feasible three-site pair gives a feasible
+    # two-site pair: the certified n = 2 optimum lies at or below its 1 - F^2
+    e = _falsifier_pair(s)
+    r2 = fidelity_q(e.states[0], e.states[1], 2)
+    assert r2.converged
+    traced = [_kernel.partial_trace(x, (2, 2, 2), (0, 1)) for x in _fidelity_point(e, 3)]
+    assert marginal_residual(traced, [st.mat for st in e.states], 2, 2) <= FEAS_TOL
+    assert _one_minus_f2(traced) >= r2.objective_at_optimum - 1e-7
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_fidelity_q_point_pushed_through_a_channel_is_no_better_than_its_certified_report(s):
+    # a depolarising channel on every site maps a feasible pair of e to a
+    # feasible pair of the depolarised members
+    p = 0.3
+    e = _falsifier_pair(s)
+    rho, sigma = (DensityMatrix(_depolarise(st.mat, p)) for st in e.states)
+    r = fidelity_q(rho, sigma, 2)
+    assert r.converged
+    pushed = [_depolarise_sites(x, p) for x in _fidelity_point(e, 2)]
+    assert marginal_residual(pushed, [rho.mat, sigma.mat], 2, 2) <= FEAS_TOL
+    assert _one_minus_f2(pushed) >= r.objective_at_optimum - 1e-7
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_fidelity_q_conventions_imply_the_same_fidelity(s):
+    e = _falsifier_pair(s)
+    squared = fidelity_q(e.states[0], e.states[1], 2)
+    root = fidelity_q(e.states[0], e.states[1], 2, convention="root")
+    assert squared.converged and root.converged
+    assert np.sqrt(1.0 - squared.objective_at_optimum) == pytest.approx(
+        1.0 - root.objective_at_optimum, abs=1e-6)
+
+
+def _rank_two_qutrit(seed: int) -> DensityMatrix:
+    u = random_unitary(3, seed=seed)
+    return DensityMatrix(u @ np.diag([0.6, 0.4, 0.0]) @ u.conj().T)
+
+
+# members whose extension sets have no interior point, or nearly none: the
+# projection's dual has no minimiser, or a badly conditioned one
+DEGENERATE_PAIRS = {
+    "rank-2 qutrits": lambda: (_rank_two_qutrit(1), _rank_two_qutrit(2)),
+    "near-pure qubits": lambda: (
+        DensityMatrix(np.diag([1.0 - 5e-7, 5e-7]).astype(complex)),
+        DensityMatrix((1.0 - 1e-6) * np.full((2, 2), 0.5, dtype=complex) + 5e-7 * np.eye(2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_PAIRS))
+def test_fidelity_q_certifies_members_without_interior_points(case):
+    rho, sigma = DEGENERATE_PAIRS[case]()
+    squared = fidelity_q(rho, sigma, 2)
+    root = fidelity_q(rho, sigma, 2, convention="root")
+    for r in (squared, root):
+        assert r.converged and r.feasibility_residual <= FEAS_TOL
+    assert np.sqrt(1.0 - squared.objective_at_optimum) == pytest.approx(
+        1.0 - root.objective_at_optimum, abs=1e-6)
+    # no worse than the product extensions
+    f = fidelity(rho, sigma)
+    assert squared.value <= f - f * f + 1e-9
+
+
+def test_fidelity_q_pins_a_pure_member_to_its_product_point():
+    # a pure member has one extension, so the other member's block alone is
+    # solved
+    rho = DensityMatrix(random_density_matrix(2, seed=11))
+    x, fx, steps, converged = extopt._fidelity_sdp([KET0.mat, rho.mat], 2, 2, "squared")
+    assert converged and steps > 0
+    assert np.array_equal(x[0], _pure_target_point(KET0.mat, 2))
+    assert marginal_residual(x, [KET0.mat, rho.mat], 2, 2) <= FEAS_TOL
+    # F^2 with a pure product point is the overlap <00|B|00>
+    assert fx == pytest.approx(1.0 - x[1][0, 0].real, abs=1e-12)
+    assert fx <= 1.0 - fidelity(KET0, rho) ** 2
+    r = fidelity_q(KET0, rho, 2)
+    assert r.converged and r.objective_at_optimum == fx
+    # member order only moves the rounding of F at the rank-deficient blocks
+    swapped = fidelity_q(rho, KET0, 2)
+    assert swapped.objective_at_optimum == pytest.approx(fx, abs=1e-7)
+
+
 def test_fidelity_q_uncertified_report_end_to_end(monkeypatch):
-    # one descent step cannot reach the certificate: the report says so
-    monkeypatch.setattr(extopt, "DESCENT_STEPS", 1)
+    # one proximal-point step cannot close the gap: the report says so
+    monkeypatch.setattr(extopt, "PROX_STEPS", 1)
     e = seed_pair()
     r = fidelity_q(e.states[0], e.states[1], 2)
     assert not r.converged and r.iterations == 1
