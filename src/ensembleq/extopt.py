@@ -11,8 +11,9 @@ other family runs its objective's solver once:
 * chi_q: from a start inside the feasible set, the entropic refine, an
   alternating minimization in the matrix-log geometry whose E-step is an
   exact relative-entropy projection, sped up by extrapolated rounds, then its
-  certificate (the projected-gradient mapping norm, plus a kernel-alignment
-  test and an interior-escape blend on a boundary face).  The certificate is
+  certificate: the projected-gradient mapping norm at the one probe step
+  PG_PROBE, then a kernel-alignment test and an interior-escape blend, which
+  an interior point passes unless the blend lowers chi.  The mapping norm is
   checked on a schedule as the refine runs; an uncertified point is reported
   without further descent.  A point that misses the marginal set is first
   projected back onto it with the Newton projection; its certificate
@@ -25,15 +26,15 @@ matrices whose diagonal blocks lie in extension sets: Newton on the
 projection's dual in the site multipliers, with the spectral map as a
 parameter.  With P+ it is the Newton projection, the Euclidean projection
 onto {X psd, every site marginal = target}: it serves project_feasible,
-chi_q's feasibility restoration and certificate probes, and the steps of
-_prox_linear.  A probe projects onto
-the set through the probed point: the PSD matrices on the point's support
-face whose site marginals are the point's own.  That set holds the point, so
-the projection's dual is bounded and Newton converges.  The true targets
-would not do on a face: the face is read off a snapped point, whose marginals
-may miss the targets by about SNAP_TOL, so the PSD matrices on it need not
-meet the targets' marginal set.  With exp it is the entropic refine's E-step,
-run on all free members at once, as one stack of matrices.
+chi_q's feasibility restoration and certificate probe, and the steps of
+_prox_linear.  The probe projects onto the set through the probed point: the
+PSD matrices on the point's support face whose site marginals are the
+point's own.  That set holds the point, so the projection's dual is bounded
+and Newton converges.  The true targets would not do on a face: the face is
+read off a snapped point, whose marginals may miss the targets by about
+SNAP_TOL, so the PSD matrices on it need not meet the targets' marginal set.
+With exp it is the entropic refine's E-step, run on all free members at
+once, as one stack of matrices.
 
 Extension sets, FEAS_TOL, DIM_CAP and the site-count check live in
 ``ensemble`` beside the classical broadcast, and are re-exported here.  The
@@ -65,10 +66,10 @@ from .errors import (
 #: Projected-gradient-mapping norm (chi_q), or gap between the bounds of
 #: fidelity_q's SDP, below which a run counts as converged.
 PG_TOL = 1e-6
-#: Probe steps for the gradient-mapping norm, climbed smallest first.  The
-#: small probe stays near the feasible set even when floored logarithms make
-#: raw gradients huge; the wide probes sharpen the certificate near optima.
-PG_PROBE_LADDER = (1e-2, 1.0, 10.0)
+#: Probe step of the projected-gradient mapping.  A step this small keeps the
+#: probe near the feasible set even where floored logarithms make raw
+#: gradients huge.
+PG_PROBE = 1e-2
 #: Iterate eigenvalues below this are snapped to exact zero after projection.
 #: Hovering just above the PSD boundary leaves a ~1/lambda entropy curvature
 #: that swamps the projected-gradient probe; on the exact boundary face the
@@ -172,12 +173,6 @@ class QuantumnessReport:
 # ---------------------------------------------------------------------------
 # feasible-set projections
 # ---------------------------------------------------------------------------
-
-def _project_psd(x: np.ndarray) -> np.ndarray:
-    h = _k.hermitize(x)
-    w, v = np.linalg.eigh(h)
-    return h if w[0] >= 0.0 else _k.matrix_function(h, "psd_clip", (w, v))
-
 
 def _snap_small(m: np.ndarray) -> np.ndarray:
     """Zero out sub-SNAP_TOL eigenvalues and renormalize the trace.
@@ -385,7 +380,6 @@ def project_feasible(x, target: DensityMatrix, n: int) -> DensityMatrix:
             f"input shape {a.shape} does not match extension dimension {d**n}"
         )
     y = _newton_project(a, target.mat, d, n)
-    y = _project_psd(y)
     y = y / np.trace(y).real
     return DensityMatrix(y)
 
@@ -452,19 +446,17 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     """Norm of the projected-gradient mapping at a feasible point.
 
     The mapping norm ||x - P(x - delta*g)|| / delta certifies stationarity
-    for any fixed probe step delta; it is non-increasing in delta, and larger
-    probes de-weight directions flattened by the entropy barrier.  The ladder
-    is climbed lazily: wide probes are only attempted near stationarity,
-    where gradients are small and the projection is well-conditioned.
+    for any fixed probe step delta; it is read at delta = PG_PROBE.  A probe
+    whose projection fails reads inf.
 
     On rank-deficient iterates the probe projection is pinned to the support
     face.  Off the face the floored-logarithm gradient carries no information
     (the unpinned projection merely smears trace and marginal corrections into
     kernel directions), while inside the face the spectrum is bounded away
     from zero, so the mapping norm is as meaningful as at interior points.
-    Face optimality versus leaving the face is judged separately.
+    Face optimality versus leaving the face is judged by _chi_face_check.
 
-    Each probe projects onto the set through x itself: the PSD matrices on
+    The probe projects onto the set through x itself: the PSD matrices on
     its support face (the whole cone at full rank) whose site marginals are
     x's own.  That set holds x, so a zero gradient reads zero, and the
     projection converges even where x misses the targets by a rounding-scale
@@ -472,22 +464,16 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     """
     faces = [_support_basis(xi) for xi in x]
     own = [_k.site_marginals(xi, d, n) for xi in x]
-    best = np.inf
-    for delta in PG_PROBE_LADDER:
-        try:
-            moved = [
-                _snap_small(_newton_project(xi - delta * gi, t, d, n, basis=b))
-                for xi, gi, t, b in zip(x, g, own, faces)
-            ]
-        except NumericalFailure:
-            break
-        val = float(
-            np.sqrt(sum(np.linalg.norm(xi - mi) ** 2 for xi, mi in zip(x, moved)))
-        ) / delta
-        best = min(best, val)
-        if best <= PG_TOL or best > 1e-3:
-            break
-    return best
+    try:
+        moved = [
+            _snap_small(_newton_project(xi - PG_PROBE * gi, t, d, n, basis=b))
+            for xi, gi, t, b in zip(x, g, own, faces)
+        ]
+    except NumericalFailure:
+        return np.inf
+    return float(
+        np.sqrt(sum(np.linalg.norm(xi - mi) ** 2 for xi, mi in zip(x, moved)))
+    ) / PG_PROBE
 
 
 def _refine_and_certify(targets: Sequence[np.ndarray], d: int, n: int, probs: np.ndarray):
@@ -523,14 +509,13 @@ def _chi_face_check(x: Sequence[np.ndarray], fx: float, probs: np.ndarray,
                     targets: Sequence[np.ndarray], n: int):
     """Face test of a chi point whose mapping norm passed: ``(x, fx, certified)``.
 
-    Interior points are certified.  On a boundary face every member not
-    pinned by a pure target must share the average's support (a mismatched
-    kernel admits descent with unbounded slope, which the floored gradient
-    cannot see), and a small blend toward the interior must not lower chi; a
-    blend that does is returned in place of ``x``, uncertified.
+    Every member not pinned by a pure target must share the average's
+    support (on a boundary face a mismatched kernel admits descent with
+    unbounded slope, which the floored gradient cannot see), and a small
+    blend toward the interior must not lower chi; a blend that does is
+    returned in place of ``x``, uncertified.  Interior points share the full
+    support, so only the blend can refuse them.
     """
-    if all(float(np.linalg.eigvalsh(_k.hermitize(xi))[0]) >= SNAP_TOL for xi in x):
-        return x, fx, True
     eye = np.eye(x[0].shape[0])
 
     def support(m):

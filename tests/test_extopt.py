@@ -409,6 +409,30 @@ def test_probe_holds_its_certified_face_pinned_point(case):
     assert extopt._pg_mapping_norm(x, zero, d, n) <= 1e-12
 
 
+def test_probe_reads_the_mapping_at_one_step(monkeypatch):
+    # a reading between PG_TOL and 1e-3 is still read at PG_PROBE alone: one
+    # face-pinned projection per member, onto its point's own marginals
+    e = seed_pair()
+    targets = [s.mat for s in e.states]
+    starts = [extopt._snap_small(extopt._interior_start(t, 2)) for t in targets]
+    x, pg = extopt._entropic_refine(starts, targets, e.probs, 2, 2)
+    assert pg <= extopt.PG_TOL
+    g = [1e-5 * random_hermitian(4, seed=40 + i) for i in range(len(x))]
+    calls = []
+
+    def newton(y, target, d, n, basis=None):
+        calls.append((target, basis))
+        return _newton_project(y, target, d, n, basis)
+
+    monkeypatch.setattr(extopt, "_newton_project", newton)
+    reading = extopt._pg_mapping_norm(x, g, 2, 2)
+    assert extopt.PG_TOL < reading < 1e-3
+    assert len(calls) == len(x)
+    for xi, (target, basis) in zip(x, calls):
+        assert np.array_equal(target, _kernel.site_marginals(xi, 2, 2))
+        assert np.array_equal(basis, extopt._support_basis(xi))
+
+
 # ---------------------------------------------------------------------------
 # entropic warm start
 # ---------------------------------------------------------------------------
@@ -871,6 +895,17 @@ def test_chi_face_check_returns_a_lower_interior_blend():
     assert extopt._chi_face_check(x, fx, e.probs, targets, 2) == (x, fx, True)
     esc, f_esc, certified = extopt._chi_face_check(x, fx + 1e-3, e.probs, targets, 2)
     assert not certified and f_esc < fx + 1e-3 - 1e-7
+    assert f_esc == pytest.approx(chi_objective(esc, e.probs), abs=0.0)
+    assert marginal_residual(esc, targets, 2, 2) <= 1e-14
+    # a full-rank point faces the same blend test: the product extensions of
+    # a mixed pair, told a value above their chi, give way to the blend
+    e = seed_pair()
+    targets = [s.mat for s in e.states]
+    x = [np.kron(t, t) for t in targets]
+    assert all(np.linalg.eigvalsh(xi)[0] > 0.04 for xi in x)
+    fx = chi_objective(x, e.probs) + 1e-3
+    esc, f_esc, certified = extopt._chi_face_check(x, fx, e.probs, targets, 2)
+    assert not certified and f_esc < fx - 1e-7
     assert f_esc == pytest.approx(chi_objective(esc, e.probs), abs=0.0)
     assert marginal_residual(esc, targets, 2, 2) <= 1e-14
 
