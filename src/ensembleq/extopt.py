@@ -10,8 +10,8 @@ other family runs its objective's solver once:
 
 * chi_q: from a start inside the feasible set, the entropic refine, an
   alternating minimization in the matrix-log geometry whose E-step is an
-  exact relative-entropy projection, sped up by extrapolated rounds, then its
-  certificate: the projected-gradient mapping norm at the one probe step
+  exact relative-entropy projection, sped up by Anderson acceleration, then
+  its certificate: the projected-gradient mapping norm at the one probe step
   PG_PROBE, then a kernel-alignment test and an interior-escape blend, which
   an interior point passes unless the blend lowers chi.  The mapping norm is
   checked on a schedule as the refine runs; an uncertified point is reported
@@ -82,6 +82,8 @@ SNAP_TOL = 1e-9
 SAT_TOL = 1e-9
 #: Cap on the rounds of chi_q's entropic refine.
 REFINE_ROUNDS = 1500
+#: Depth m of the refine's Anderson step: it mixes the last m + 1 rounds.
+ANDERSON_DEPTH = 3
 #: Cap on fidelity_q's proximal-point steps.  Its step s doubles from 4 and
 #: reaches 2e6 at the last; projections stall once s passes about 1e8, and
 #: the hardest admitted input tried, qubits at n = 6, closes its gap at step 17.
@@ -272,26 +274,32 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     of Euclidean steps, and every iterate meets the marginals within
     PROJECTION_TOL: its chi is the chi of a feasible point.
 
-    That makes two shortcuts sound.  Each round first projects the
-    extrapolated average 2 sigma_k - sigma_(k-1) and keeps that round if the
-    extrapolation is positive definite and chi does not rise; otherwise it
-    runs the plain round from sigma_k and the old multipliers.  And the
+    That makes two shortcuts sound.  Once two rounds have run, each round
+    first projects the Anderson step (_anderson_mix) of the round map
+    G(sigma) = sum_i p_i Proj_i(sigma) over the last ANDERSON_DEPTH + 1
+    rounds, its eigenvalues at or below 0 lifted to half the least
+    eigenvalue of sigma_k, and keeps that round if chi does not rise;
+    otherwise it runs the plain round from sigma_k and the old multipliers.
+    The step is not damped toward sigma_k: damping held the iterates off the
+    face of a boundary optimum, where the face test refused them.  And the
     certificate (the projected-gradient mapping norm at the snapped iterate,
     see _chi_certificate) is checked at round 25 and then after
-    max(25, rounds / 4) more rounds, whatever chi does: the refine
-    returns once it passes at half PG_TOL, or once it stalls (it contracted
-    by less than a tenth since the last check) with chi held within 1e-10
-    for three rounds, or after REFINE_ROUNDS rounds.
+    max(25, rounds / 4) more rounds, whatever chi does: the refine returns
+    once it passes at half PG_TOL and _chi_face_check accepts the point, or
+    once it stalls (it contracted by less than a tenth since the last check)
+    with chi held within 1e-10 for three rounds, or after REFINE_ROUNDS
+    rounds.  A point whose mapping norm passes while a small eigenvalue has
+    not yet reached SNAP_TOL fails the face test; the rounds then go on from
+    an empty Anderson history.
 
-    Outside the projections a round decomposes the new sigma once and at
-    most one extrapolation, whose spectrum gives both the positivity test and
-    its log.  The members' entropies come off the spectra of the
-    projections' exponents, and a pure-pinned member's is taken once, so the
-    stop rule's chi (that of chi_objective, up to rounding) costs no further
-    decomposition.
+    Outside the projections and the certificate a round decomposes the new
+    sigma once and at most one Anderson step, whose spectrum gives both the
+    positivity test and its log.  The members' entropies come off the
+    spectra of the projections' exponents, and a pure-pinned member's is
+    taken once, so the stop rule's chi (that of chi_objective, up to
+    rounding) costs no further decomposition.
 
-    Returns the snapped refined extensions and the certificate norm at
-    exactly those points.
+    Returns ``(x, fx, certified)`` of _chi_certificate at the last round.
     """
     # a pure target admits exactly one feasible extension; its block update
     # is that point itself, which no exponential form exp(z) can represent
@@ -326,36 +334,73 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     sigma = sum(p * m for p, m in zip(probs, E))
     spectrum = np.linalg.eigh(_k.hermitize(sigma))
     chi = _k.holevo_from_entropies(spectrum[0], probs, bits)
-    last_sigma, stable, last_pg, check = None, 0, np.inf, 25
+    history, stable, last_pg, check = [], 0, np.inf, 25
     for rounds in range(1, REFINE_ROUNDS + 1):
         step = None
         try:
-            if last_sigma is not None:
-                ext = 2.0 * sigma - last_sigma
-                ext_spectrum = np.linalg.eigh(_k.hermitize(ext))
-                if ext_spectrum[0][0] > 0.0:
-                    step = update(ext, ext_spectrum)
+            if len(history) > 1:
+                start, start_spectrum = _anderson_mix(history, 0.5 * spectrum[0][0])
+                step = update(start, start_spectrum)
             if step is None or step[-1] > chi:
-                step = update(sigma, spectrum)
+                start, step = sigma, update(sigma, spectrum)
         except NumericalFailure:
             break  # the round fails; the last iterate is feasible
-        last_sigma = sigma
         E, bits, mults, sigma, spectrum, cur = step
+        # G(start) and its residual G(start) - start as real numbers
+        history = (history + [(sigma, (sigma - start).view(float).ravel())])[-ANDERSON_DEPTH - 1:]
         stable = stable + 1 if abs(chi - cur) < 1e-10 else 0
         chi = cur
         if rounds == check:
-            snapped, pg = _chi_certificate(E, probs, d, n)
-            if pg <= 0.5 * PG_TOL or (pg > 0.9 * last_pg and stable >= 3):
-                return snapped, pg  # certified, or stalled
+            x, fx, certified, pg = _chi_certificate(E, probs, targets, d, n)
+            if pg <= 0.5 * PG_TOL:
+                if certified:
+                    return x, fx, True
+                history = []  # the face test refused it: restart the mixing
+            elif pg > 0.9 * last_pg and stable >= 3:
+                return x, fx, certified  # stalled
             last_pg = pg
             check = rounds + max(25, rounds // 4)
-    return _chi_certificate(E, probs, d, n)
+    return _chi_certificate(E, probs, targets, d, n)[:3]
 
 
-def _chi_certificate(E: Sequence[np.ndarray], probs: np.ndarray, d: int, n: int):
-    """The snapped extensions and the projected-gradient mapping norm of chi there."""
-    snapped = [_snap_small(e) for e in E]
-    return snapped, _pg_mapping_norm(snapped, chi_gradient(snapped, probs), d, n)
+def _anderson_mix(history: Sequence[tuple], floor: float):
+    """The type-II Anderson step of the refine's round map G, and its eigenpairs.
+
+    ``history`` holds the last rounds, oldest first, as pairs of G(sigma_j)
+    and the residual G(sigma_j) - sigma_j, viewed as real numbers.
+
+    The step is sum_j a_j G(sigma_j) with sum_j a_j = 1 and the real a_j
+    minimising |sum_j a_j (G(sigma_j) - sigma_j)| (Walker and Ni, SIAM J.
+    Numer. Anal. 49, 1715 (2011)), solved in differences of successive
+    rounds as a real least-squares problem over the real and imaginary
+    parts.  Its eigenvalues at or below 0 are lifted to ``floor``; the one
+    decomposition serves that test and the step's log.
+    """
+    images = [h[0] for h in history]
+    residuals = np.array([h[1] for h in history])
+    gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1], rcond=None)[0]
+    mix = _k.hermitize(images[-1] - sum(g * (b - a) for g, a, b in zip(gamma, images, images[1:])))
+    w, v = np.linalg.eigh(mix)
+    if w[0] <= 0.0:
+        w = np.where(w <= 0.0, floor, w)
+        mix = (v * w) @ v.conj().T
+    return mix, (w, v)
+
+
+def _chi_certificate(E: Sequence[np.ndarray], probs: np.ndarray,
+                     targets: Sequence[np.ndarray], d: int, n: int):
+    """chi_q's certificate at the snapped extensions: ``(x, fx, certified, pg)``.
+
+    pg is the projected-gradient mapping norm of chi at the snapped point.
+    Within PG_TOL, _chi_face_check decides and its (x, fx) are returned;
+    above it, the snapped point and its chi, uncertified.
+    """
+    x = [_snap_small(e) for e in E]
+    fx = chi_objective(x, probs)
+    pg = _pg_mapping_norm(x, chi_gradient(x, probs), d, n)
+    if pg > PG_TOL:
+        return x, fx, False, pg
+    return (*_chi_face_check(x, fx, probs, targets, n), pg)
 
 
 def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
@@ -480,19 +525,16 @@ def _refine_and_certify(targets: Sequence[np.ndarray], d: int, n: int, probs: np
     """chi_q's local solver: the entropic refine from the snapped interior
     starts, then its certificate.
 
-    The certificate is the projected-gradient mapping norm at the snapped
-    refined point, plus _chi_face_check.  No descent step follows.  A point
-    that misses the marginals by more than FEAS_TOL is replaced by its Newton
-    projection, which keeps the certificate only if chi moves by at most
-    SAT_TOL, or by the uncertified start if the projection fails; every
-    reported value is attained at a feasible point.
+    The refine returns its point certified or not (_chi_certificate: the
+    projected-gradient mapping norm at the snapped point, plus
+    _chi_face_check).  No descent step follows.  A point that misses the
+    marginals by more than FEAS_TOL is replaced by its Newton projection,
+    which keeps the certificate only if chi moves by at most SAT_TOL, or by
+    the uncertified start if the projection fails; every reported value is
+    attained at a feasible point.
     """
     x0 = [_snap_small(_interior_start(t, n)) for t in targets]
-    x, pg = _entropic_refine(x0, targets, probs, d, n)
-    fx = chi_objective(x, probs)
-    conv = pg <= PG_TOL
-    if conv:
-        x, fx, conv = _chi_face_check(x, fx, probs, targets, n)
+    x, fx, conv = _entropic_refine(x0, targets, probs, d, n)
     if _k.marginal_residual(x, targets, d, n) > FEAS_TOL:
         # refine iterates meet the marginals within PROJECTION_TOL and a snap
         # moves them by a few SNAP_TOL, so only a faulty refine lands here
