@@ -18,12 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .accinfo import (
-    OptimizerConfig,
-    accessible_information,
-    fuchs_quantumness,
-    pure_limit_identities,
-)
+from .accinfo import OptimizerConfig, accessible_information, pure_limit_identities
 from .densmat import FIDELITY_CONVENTIONS, DensityMatrix, matrix_from_json, trace_norm
 from .ensemble import Ensemble, holevo, is_broadcastable
 from .errors import (

@@ -36,6 +36,13 @@ SNAP_TOL, so the PSD matrices on it need not meet the targets' marginal set.
 With exp it is the entropic refine's E-step, run on all free members at
 once, as one stack of matrices.
 
+A snap (_snap) zeroes eigenvalues below SNAP_TOL in two places only.  The
+certificate snaps each member and, in the face test, their average; the one
+decomposition also gives the support face.  The refine's start is snapped,
+which conditions log sigma on rank-deficient targets.  Points that are
+already exact, such as a commuting family's classical broadcast or a Newton
+projection, are used as they are.
+
 Extension sets, FEAS_TOL, DIM_CAP and the site-count check live in
 ``ensemble`` beside the classical broadcast, and are re-exported here.  The
 shared driver takes each objective as two plain functions: value and solver.
@@ -70,10 +77,12 @@ PG_TOL = 1e-6
 #: probe near the feasible set even where floored logarithms make raw
 #: gradients huge.
 PG_PROBE = 1e-2
-#: Iterate eigenvalues below this are snapped to exact zero after projection.
-#: Hovering just above the PSD boundary leaves a ~1/lambda entropy curvature
-#: that swamps the projected-gradient probe; on the exact boundary face the
-#: singular terms of the member and average entropies cancel.
+#: Eigenvalues below this are snapped to exact zero in two places only: at
+#: chi_q's certificate, whose members and average read their support faces
+#: off the snap, and at the refine's start.  Hovering just above the PSD
+#: boundary leaves a ~1/lambda entropy curvature that swamps the
+#: projected-gradient probe; on the exact boundary face the singular terms
+#: of the member and average entropies cancel.
 SNAP_TOL = 1e-9
 
 # Objective values this close to a proven lower bound certify global optimality
@@ -176,21 +185,20 @@ class QuantumnessReport:
 # feasible-set projections
 # ---------------------------------------------------------------------------
 
-def _snap_small(m: np.ndarray) -> np.ndarray:
-    """Zero out sub-SNAP_TOL eigenvalues and renormalize the trace.
+def _snap(m: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Zero out sub-SNAP_TOL eigenvalues of a unit-trace m and renormalize.
 
-    The marginal perturbation this introduces is bounded by the snapped mass
-    (a few 1e-9), far inside FEAS_TOL.
+    Returns the snapped matrix and its support face: an orthonormal basis of
+    the kept eigenvectors, None at full rank (m comes back unchanged).  The
+    marginal perturbation is bounded by the snapped mass (a few 1e-9), far
+    inside FEAS_TOL.
     """
     w, v = np.linalg.eigh(_k.hermitize(m))
-    if w[0] >= SNAP_TOL:
-        return m
-    w = np.where(w < SNAP_TOL, 0.0, w)
-    out = (v * w) @ v.conj().T
-    tr = float(np.trace(out).real)
-    if tr <= 0.0:
-        return m
-    return out * (float(np.trace(m).real) / tr)
+    keep = w >= SNAP_TOL
+    if keep.all():
+        return m, None
+    out = (v * np.where(keep, w, 0.0)) @ v.conj().T
+    return out * (float(np.trace(m).real) / float(np.trace(out).real)), v[:, keep]
 
 
 def _newton_project(x: np.ndarray, target: np.ndarray, d: int, n: int,
@@ -286,11 +294,13 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
     see _chi_certificate) is checked at round 25 and then after
     max(25, rounds / 4) more rounds, whatever chi does: the refine returns
     once it passes at half PG_TOL and _chi_face_check accepts the point, or
-    once it stalls (it contracted by less than a tenth since the last check)
+    once it stalls (it contracted by less than a tenth since the last reading)
     with chi held within 1e-10 for three rounds, or after REFINE_ROUNDS
-    rounds.  A point whose mapping norm passes while a small eigenvalue has
-    not yet reached SNAP_TOL fails the face test; the rounds then go on from
-    an empty Anderson history.
+    rounds.  A probe whose projection fails reads inf; that is no reading,
+    so it neither stalls the refine nor replaces the last reading.  A point
+    whose mapping norm passes while a small eigenvalue has not yet reached
+    SNAP_TOL fails the face test; the rounds then go on from an empty
+    Anderson history.
 
     Outside the projections and the certificate a round decomposes the new
     sigma once and at most one Anderson step, whose spectrum gives both the
@@ -356,6 +366,8 @@ def _entropic_refine(starts: Sequence[np.ndarray], targets: Sequence[np.ndarray]
                 if certified:
                     return x, fx, True
                 history = []  # the face test refused it: restart the mixing
+            elif pg == np.inf:
+                pg = last_pg  # a failed probe is no reading: the rounds go on
             elif pg > 0.9 * last_pg and stable >= 3:
                 return x, fx, certified  # stalled
             last_pg = pg
@@ -395,12 +407,12 @@ def _chi_certificate(E: Sequence[np.ndarray], probs: np.ndarray,
     Within PG_TOL, _chi_face_check decides and its (x, fx) are returned;
     above it, the snapped point and its chi, uncertified.
     """
-    x = [_snap_small(e) for e in E]
+    x, faces = map(list, zip(*(_snap(e) for e in E)))
     fx = chi_objective(x, probs)
-    pg = _pg_mapping_norm(x, chi_gradient(x, probs), d, n)
+    pg = _pg_mapping_norm(x, faces, chi_gradient(x, probs), d, n)
     if pg > PG_TOL:
         return x, fx, False, pg
-    return (*_chi_face_check(x, fx, probs, targets, n), pg)
+    return (*_chi_face_check(x, faces, fx, probs, targets, n), pg)
 
 
 def _pure_target_point(target: np.ndarray, n: int) -> Optional[np.ndarray]:
@@ -479,15 +491,8 @@ def _interior_start(target: np.ndarray, n: int) -> np.ndarray:
     return 0.8 * _classical_copy(target, n) + 0.2 * _k.kron_power(target, n)
 
 
-def _support_basis(x: np.ndarray) -> Optional[np.ndarray]:
-    """Orthonormal basis of the support of a (snapped) PSD matrix; None if full rank."""
-    w, v = np.linalg.eigh(_k.hermitize(x))
-    keep = w > 0.5 * SNAP_TOL
-    return None if bool(keep.all()) else v[:, keep]
-
-
-def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
-                     d: int, n: int) -> float:
+def _pg_mapping_norm(x: Sequence[np.ndarray], faces: Sequence[Optional[np.ndarray]],
+                     g: Sequence[np.ndarray], d: int, n: int) -> float:
     """Norm of the projected-gradient mapping at a feasible point.
 
     The mapping norm ||x - P(x - delta*g)|| / delta certifies stationarity
@@ -495,10 +500,12 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     whose projection fails reads inf.
 
     On rank-deficient iterates the probe projection is pinned to the support
-    face.  Off the face the floored-logarithm gradient carries no information
-    (the unpinned projection merely smears trace and marginal corrections into
-    kernel directions), while inside the face the spectrum is bounded away
-    from zero, so the mapping norm is as meaningful as at interior points.
+    face, read off ``faces`` (the bases _snap returned with x, None at full
+    rank).  Off the face the floored-logarithm gradient carries no
+    information (the unpinned projection merely smears trace and marginal
+    corrections into kernel directions), while inside the face the spectrum
+    is bounded away from zero, so the mapping norm is as meaningful as at
+    interior points.
     Face optimality versus leaving the face is judged by _chi_face_check.
 
     The probe projects onto the set through x itself: the PSD matrices on
@@ -507,11 +514,10 @@ def _pg_mapping_norm(x: Sequence[np.ndarray], g: Sequence[np.ndarray],
     projection converges even where x misses the targets by a rounding-scale
     gap that its face cannot close.
     """
-    faces = [_support_basis(xi) for xi in x]
     own = [_k.site_marginals(xi, d, n) for xi in x]
     try:
         moved = [
-            _snap_small(_newton_project(xi - PG_PROBE * gi, t, d, n, basis=b))
+            _newton_project(xi - PG_PROBE * gi, t, d, n, basis=b)
             for xi, gi, t, b in zip(x, g, own, faces)
         ]
     except NumericalFailure:
@@ -533,13 +539,13 @@ def _refine_and_certify(targets: Sequence[np.ndarray], d: int, n: int, probs: np
     the uncertified start if the projection fails; every reported value is
     attained at a feasible point.
     """
-    x0 = [_snap_small(_interior_start(t, n)) for t in targets]
+    x0 = [_snap(_interior_start(t, n))[0] for t in targets]
     x, fx, conv = _entropic_refine(x0, targets, probs, d, n)
     if _k.marginal_residual(x, targets, d, n) > FEAS_TOL:
         # refine iterates meet the marginals within PROJECTION_TOL and a snap
         # moves them by a few SNAP_TOL, so only a faulty refine lands here
         try:
-            y = [_snap_small(_newton_project(xi, t, d, n)) for xi, t in zip(x, targets)]
+            y = [_newton_project(xi, t, d, n) for xi, t in zip(x, targets)]
         except NumericalFailure:
             return list(x0), chi_objective(x0, probs), 1, False
         fy = chi_objective(y, probs)
@@ -547,30 +553,29 @@ def _refine_and_certify(targets: Sequence[np.ndarray], d: int, n: int, probs: np
     return x, fx, 1, conv
 
 
-def _chi_face_check(x: Sequence[np.ndarray], fx: float, probs: np.ndarray,
-                    targets: Sequence[np.ndarray], n: int):
+def _chi_face_check(x: Sequence[np.ndarray], faces: Sequence[Optional[np.ndarray]],
+                    fx: float, probs: np.ndarray, targets: Sequence[np.ndarray], n: int):
     """Face test of a chi point whose mapping norm passed: ``(x, fx, certified)``.
 
     Every member not pinned by a pure target must share the average's
-    support (on a boundary face a mismatched kernel admits descent with
-    unbounded slope, which the floored gradient cannot see), and a small
-    blend toward the interior must not lower chi; a blend that does is
-    returned in place of ``x``, uncertified.  Interior points share the full
-    support, so only the blend can refuse them.
+    support: its face in ``faces`` (the basis _snap returned with it, None
+    at full rank) must span the face of one _snap of the average (on a
+    boundary face a mismatched kernel admits descent with unbounded slope,
+    which the floored gradient cannot see), and a small blend toward the
+    interior must not lower chi; a blend that does is returned in place of
+    ``x``, uncertified.  Interior points share the full support, so only the
+    blend can refuse them.
     """
-    eye = np.eye(x[0].shape[0])
-
-    def support(m):
-        b = _support_basis(m)
-        return eye if b is None else b @ b.conj().T
-
-    ps = support(sum(p * m for p, m in zip(probs, x)))
-    for xi, t in zip(x, targets):
+    face = _snap(sum(p * m for p, m in zip(probs, x)))[1]
+    for fi, t in zip(faces, targets):
         if _k.is_pure(t):
             continue
+        if fi is None or face is None:
+            if fi is not face:  # one of the two is full rank, the other not
+                return x, fx, False
         # a rank mismatch puts this at 1 or more; kernels still locking into
         # place near a certified point differ by angles at the certificate scale
-        if float(np.linalg.norm(support(xi) - ps)) > 1e-4:
+        elif float(np.linalg.norm(fi @ fi.conj().T - face @ face.conj().T)) > 1e-4:
             return x, fx, False
     # a genuinely wrong face shows an O(blend) decrease; anything at the
     # certificate's own gap scale is noise
@@ -632,7 +637,7 @@ def _optimize_extensions(e: Ensemble, n: int, baseline: float, value,
         fx, iters, conv = value(x), 0, True
     else:
         if is_broadcastable(e):
-            x = [_snap_small(ext.mat) for ext in classical_broadcast(e, n).extensions]
+            x = [ext.mat for ext in classical_broadcast(e, n).extensions]
             fx, iters, conv = value(x), 0, False
         else:
             x, fx, iters, conv = local(targets, d, n)

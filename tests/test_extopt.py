@@ -342,10 +342,10 @@ def test_every_projection_is_the_newton_projection(monkeypatch):
     probed = []
     pg_mapping_norm = extopt._pg_mapping_norm
 
-    def probe(x, g, d, n):
-        probed.append([(xi, _kernel.site_marginals(xi, d, n)) for xi in x])
+    def probe(x, faces, g, d, n):
+        probed.append([(xi, fi, _kernel.site_marginals(xi, d, n)) for xi, fi in zip(x, faces)])
         try:
-            return pg_mapping_norm(x, g, d, n)
+            return pg_mapping_norm(x, faces, g, d, n)
         finally:
             probed.pop()
 
@@ -353,11 +353,13 @@ def test_every_projection_is_the_newton_projection(monkeypatch):
         if not probed:
             calls.append(("outside", basis is not None))
             return _newton_project(x, target, d, n, basis)
-        points = [xi for xi, own in probed[-1] if np.array_equal(own, target)]
+        points = [(xi, fi) for xi, fi, own in probed[-1] if np.array_equal(own, target)]
         assert points, "a probe projected onto marginals other than its point's"
-        point = points[0]
+        point, snapped_face = points[0]
         pinned = _rank(point) < len(point)
         assert (basis is not None) == pinned
+        # the probe pins to the face that _snap returned with the point
+        assert basis is snapped_face
         if pinned:
             # the basis spans the point's support
             face = basis @ basis.conj().T
@@ -403,12 +405,13 @@ def test_probe_holds_its_certified_face_pinned_point(case):
     e = make()
     d = e.dim
     targets = [s.mat for s in e.states]
-    starts = [extopt._snap_small(extopt._interior_start(t, n)) for t in targets]
+    starts = [extopt._snap(extopt._interior_start(t, n))[0] for t in targets]
     x, _, certified = extopt._entropic_refine(starts, targets, e.probs, d, n)
     assert certified
     assert tuple(_rank(xi) for xi in x) == ranks
+    faces = [extopt._snap(xi)[1] for xi in x]
     zero = [np.zeros_like(xi) for xi in x]
-    assert extopt._pg_mapping_norm(x, zero, d, n) <= 1e-12
+    assert extopt._pg_mapping_norm(x, faces, zero, d, n) <= 1e-12
 
 
 def test_probe_reads_the_mapping_at_one_step(monkeypatch):
@@ -416,9 +419,10 @@ def test_probe_reads_the_mapping_at_one_step(monkeypatch):
     # face-pinned projection per member, onto its point's own marginals
     e = seed_pair()
     targets = [s.mat for s in e.states]
-    starts = [extopt._snap_small(extopt._interior_start(t, 2)) for t in targets]
+    starts = [extopt._snap(extopt._interior_start(t, 2))[0] for t in targets]
     x, _, certified = extopt._entropic_refine(starts, targets, e.probs, 2, 2)
     assert certified
+    faces = [extopt._snap(xi)[1] for xi in x]
     g = [1e-5 * random_hermitian(4, seed=40 + i) for i in range(len(x))]
     calls = []
 
@@ -427,12 +431,12 @@ def test_probe_reads_the_mapping_at_one_step(monkeypatch):
         return _newton_project(y, target, d, n, basis)
 
     monkeypatch.setattr(extopt, "_newton_project", newton)
-    reading = extopt._pg_mapping_norm(x, g, 2, 2)
+    reading = extopt._pg_mapping_norm(x, faces, g, 2, 2)
     assert extopt.PG_TOL < reading < 1e-3
     assert len(calls) == len(x)
-    for xi, (target, basis) in zip(x, calls):
+    for xi, face, (target, basis) in zip(x, faces, calls):
         assert np.array_equal(target, _kernel.site_marginals(xi, 2, 2))
-        assert np.array_equal(basis, extopt._support_basis(xi))
+        assert np.array_equal(basis, face)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +743,7 @@ def test_chi_q_keeps_a_pure_member_at_its_product_point(monkeypatch):
     # one stack holding the two mixed members, never the pure one
     assert refined and set(stacks) == {(2, 2, 2)}
     # the refine returns snapped points, so the pinned member comes back snapped
-    point = extopt._snap_small(_pure_target_point(e.states[0].mat, 2))
+    point = extopt._snap(_pure_target_point(e.states[0].mat, 2))[0]
     for extensions in refined:
         assert np.array_equal(extensions[0], point)
     assert r.converged and r.feasibility_residual <= FEAS_TOL and r.value > 0.0
@@ -911,9 +915,10 @@ def test_chi_face_check_refuses_misaligned_kernels():
     assert all(np.linalg.eigvalsh(xi)[0] < extopt.SNAP_TOL for xi in x)
     # no interior blend undercuts an objective of -inf, so only the kernel
     # test can refuse here
-    assert extopt._chi_face_check(x, -np.inf, e.probs, targets, 2)[1:] == (-np.inf, False)
+    faces = [extopt._snap(xi)[1] for xi in x]
+    assert extopt._chi_face_check(x, faces, -np.inf, e.probs, targets, 2)[1:] == (-np.inf, False)
     fx = chi_objective(x, e.probs)
-    assert not extopt._chi_face_check(x, fx, e.probs, targets, 2)[2]
+    assert not extopt._chi_face_check(x, faces, fx, e.probs, targets, 2)[2]
 
 
 def test_chi_q_certified_point_is_feasible_at_three_sites():
@@ -931,9 +936,10 @@ def test_chi_face_check_returns_a_lower_interior_blend():
     targets = [s.mat for s in e.states]
     x = [ext.mat for ext in classical_broadcast(e, 2).extensions]
     assert all(np.linalg.eigvalsh(xi)[0] < extopt.SNAP_TOL for xi in x)
+    faces = [extopt._snap(xi)[1] for xi in x]
     fx = chi_objective(x, e.probs)
-    assert extopt._chi_face_check(x, fx, e.probs, targets, 2) == (x, fx, True)
-    esc, f_esc, certified = extopt._chi_face_check(x, fx + 1e-3, e.probs, targets, 2)
+    assert extopt._chi_face_check(x, faces, fx, e.probs, targets, 2) == (x, fx, True)
+    esc, f_esc, certified = extopt._chi_face_check(x, faces, fx + 1e-3, e.probs, targets, 2)
     assert not certified and f_esc < fx + 1e-3 - 1e-7
     assert f_esc == pytest.approx(chi_objective(esc, e.probs), abs=0.0)
     assert marginal_residual(esc, targets, 2, 2) <= 1e-14
@@ -944,7 +950,8 @@ def test_chi_face_check_returns_a_lower_interior_blend():
     x = [np.kron(t, t) for t in targets]
     assert all(np.linalg.eigvalsh(xi)[0] > 0.04 for xi in x)
     fx = chi_objective(x, e.probs) + 1e-3
-    esc, f_esc, certified = extopt._chi_face_check(x, fx, e.probs, targets, 2)
+    faces = [extopt._snap(xi)[1] for xi in x]
+    esc, f_esc, certified = extopt._chi_face_check(x, faces, fx, e.probs, targets, 2)
     assert not certified and f_esc < fx - 1e-7
     assert f_esc == pytest.approx(chi_objective(esc, e.probs), abs=0.0)
     assert marginal_residual(esc, targets, 2, 2) <= 1e-14
@@ -995,6 +1002,43 @@ def test_commuting_family_never_enters_a_local_solver(monkeypatch):
         assert r.converged and r.iterations == 0
         assert r.restart_values == (r.objective_at_optimum,)
         assert r.value <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize("eps", [5e-10, 1e-13])
+def test_commuting_pair_with_an_eigenvalue_below_the_snap_is_certified(eps, rotate, n):
+    # the classical broadcast is exact; snapping its eps eigenvalue to zero
+    # moved its marginals by about eps and left chi_q at 7.6e-9 and 1 - F^2
+    # at 2.2e-5 (eps = 5e-10, above EIG_FLOOR), or 1 - F^2 at about 3e-7
+    # (eps = 1e-13, below it), all uncertified
+    assert eps < extopt.SNAP_TOL
+    a = np.diag([0.6, 0.4 - eps, eps]).astype(complex)
+    b = np.diag([0.3, 0.3, 0.4]).astype(complex)
+    if rotate:
+        u = random_unitary(3, seed=5)
+        a, b = u @ a @ u.conj().T, u @ b @ u.conj().T
+    rho, sigma = DensityMatrix(a), DensityMatrix(b)
+    for r in (chi_q(Ensemble([(0.5, rho), (0.5, sigma)]), n),
+              fidelity_q(rho, sigma, n), fidelity_q(rho, sigma, n, "root")):
+        assert r.converged and r.iterations == 0
+        assert r.value <= SAT_TOL and r.feasibility_residual <= 1e-12
+
+
+def test_a_failed_probe_is_no_stall_reading(monkeypatch):
+    # the probe reads 1.0 at round 25 and fails (inf) at round 50, where chi
+    # has long been steady; read as a stall, the failure ended the refine
+    # there, so the refine must run a third check before it stalls on 1.0
+    readings = iter([1.0, np.inf])
+    checks = []
+
+    def probe(*args):
+        checks.append(None)
+        return next(readings, 1.0)
+
+    monkeypatch.setattr(extopt, "_pg_mapping_norm", probe)
+    r = chi_q(seed_pair(), 2)
+    assert not r.converged and len(checks) == 3
 
 
 def test_chi_q_rejects_single_site():
